@@ -1,7 +1,7 @@
 """circulab: extreme singular values and condition numbers of random
 circulant, Toeplitz, and Hankel matrices.
 
-Structured-matrix spectral algorithms (FFT eigenvalues, one-sided Jacobi SVD,
+Structured-matrix spectral algorithms (FFT eigenvalues, LAPACK Jacobi SVD,
 circulant embedding and its Schur block), arithmetic-structure verifiers
 (lattice distances, LCD estimates, gcd census, Levy concentration), certified
 sup-norm brackets for random trigonometric polynomials, and a reproducible

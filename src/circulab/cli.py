@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 invariant-class violation (a lemma
-sweep or experiment reported a violation, or an oracle cross-check failed).
+sweep or experiment reported a violation, or an oracle cross-check failed),
+3 numerical failure (a LAPACK routine did not converge).
 JSON config files share the schema of the ``config`` block echoed into every
 summary output; command-line flags override file values.
 """
@@ -23,6 +24,7 @@ ENV_OUTPUT_DIR = "CIRCULAB_OUT"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -415,6 +417,9 @@ def dispatch(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"circulab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except spectral.ConvergenceError as exc:
+        print(f"circulab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_USAGE
 
 

@@ -201,9 +201,16 @@ class TrialRecord:
     flags: tuple[str, ...] = ()
 
 
+_MAX_FD_BINS = 10_000
+
+
 @dataclass(frozen=True)
 class SummaryStats:
-    """Exact order statistics (type-7 quantiles) plus Freedman-Diaconis bins."""
+    """Exact order statistics (type-7 quantiles) plus Freedman-Diaconis bins.
+
+    Samples whose Freedman-Diaconis bin count would exceed 10 000 are binned
+    by Sturges' rule instead.
+    """
 
     count: int
     minimum: float
@@ -221,7 +228,12 @@ class SummaryStats:
         if arr.size == 0:
             raise ValueError("cannot summarize an empty sample")
         qs = np.quantile(arr, [0.01, 0.25, 0.50, 0.75, 0.99], method="linear")
-        counts, edges = np.histogram(arr, bins="fd")
+        # Freedman-Diaconis asks for range * n^(1/3) / (2 IQR) bins, which is
+        # astronomically many when a tight cluster has a few far outliers
+        iqr = float(qs[3] - qs[1])
+        span = float(arr[-1] - arr[0])
+        fd_too_many = iqr > 0.0 and span * np.cbrt(arr.size) > _MAX_FD_BINS * 2.0 * iqr
+        counts, edges = np.histogram(arr, bins="sturges" if fd_too_many else "fd")
         bins = tuple(
             (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
         )

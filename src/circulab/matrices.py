@@ -1,10 +1,10 @@
 """Compact coefficient-sequence representations of structured matrices.
 
 Toeplitz, circulant and symmetric-circulant matrices are stored through their
-O(n) defining coefficients; dense complex arrays are produced explicitly by
-the ``materialize_*`` functions.  Dense matrices are plain ``numpy`` arrays of
-``complex128`` (real inputs carry a zero imaginary part), eigenvalue and
-singular-value vectors elsewhere in the package follow the same convention.
+O(n) defining coefficients; dense arrays are produced explicitly by the
+``materialize_*`` functions.  Every matrix here has real entries, so dense
+matrices are plain ``numpy`` arrays of ``float64``.  Circulant eigenvalues
+elsewhere in the package are ``complex128``; singular values are ``float64``.
 
 All spec types here are immutable after construction and safe to share across
 concurrent workers.
@@ -166,7 +166,7 @@ def materialize_toeplitz(spec: ToeplitzSpec) -> np.ndarray:
     n = spec.n
     j = np.arange(n)
     idx = (j[None, :] - j[:, None]) + (n - 1)
-    return spec.coeffs.values[idx].astype(np.complex128)
+    return spec.coeffs.values[idx]
 
 
 def materialize_circulant(spec: CirculantSpec) -> np.ndarray:
@@ -174,7 +174,7 @@ def materialize_circulant(spec: CirculantSpec) -> np.ndarray:
     n = spec.n
     j = np.arange(n)
     idx = (j[None, :] - j[:, None]) % n
-    return spec.first_row.values[idx].astype(np.complex128)
+    return spec.first_row.values[idx]
 
 
 def embed_toeplitz(spec: ToeplitzSpec, xi_star: float) -> CirculantSpec:

@@ -1,7 +1,9 @@
 """Spectral engine: circulant eigenvalues, dense SVD, Schur block, interlacing.
 
 Eigenvalue vectors are complex arrays in DFT order (index k matters and is
-never sorted); singular value vectors are real arrays sorted descending.
+never sorted); singular value vectors are real arrays sorted descending.  The
+dense matrices (T_n, C_2n and the Schur block S_n) are real ``float64``, and
+the dense routines accept real input only.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgejsv
 
 from .matrices import (
     CirculantSpec,
@@ -115,116 +118,39 @@ def circulant_extremes(eigenvalues: np.ndarray, singular_tolerance: float | None
     return ConditionReport(smax, smin, kappa, singular)
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    # Tournament schedule: n-1 rounds of disjoint column pairs covering all pairs.
-    m = n + (n % 2)
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ii = []
-        jj = []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ii.append(min(a, b))
-                jj.append(max(a, b))
-        rounds.append((np.array(ii, dtype=np.intp), np.array(jj, dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def dense_svd(m: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
-    """Singular values by one-sided Jacobi iteration, sorted descending.
-
-    Column pairs are orthogonalized with exact 2x2 unitary rotations in a
-    deterministic round-robin order; a sweep visits every pair once.  The
-    iteration stops when every off-diagonal Gram entry satisfies
-    |a_i* a_j| <= tol * ||a_i|| ||a_j||, which preserves high relative
-    accuracy in the small singular values.  Real input stays in real
-    arithmetic.
-
-    Raises :class:`ConvergenceError` after ``max_sweeps`` sweeps.
-    """
+def _real_matrix(m, what: str) -> np.ndarray:
     m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise TypeError(f"{what} takes real input only, got {m.dtype}")
+    return m
+
+
+def dense_svd(m: np.ndarray) -> np.ndarray:
+    """Singular values of a real matrix by LAPACK ``dgejsv``, sorted descending.
+
+    ``dgejsv`` is the preconditioned one-sided Jacobi SVD of Drmac and
+    Veselic (SIAM J. Matrix Anal. Appl. 29(4), 2008).  With ``joba='C'`` and
+    no truncation of small columns it keeps high relative accuracy in the
+    small singular values of column-scaled matrices.  Wide input is
+    transposed, which leaves the singular values unchanged.
+
+    Raises :class:`TypeError` on complex input and :class:`ConvergenceError`
+    when LAPACK reports that the Jacobi sweeps did not converge.
+    """
+    m = _real_matrix(m, "dense_svd")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or (np.iscomplexobj(m) and not np.all(np.isfinite(m.imag))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    complex_input = np.iscomplexobj(m) and bool(np.any(m.imag != 0.0))
-    if complex_input:
-        a = np.array(m, dtype=np.complex128, order="F")
-    else:
-        a = np.array(m.real if np.iscomplexobj(m) else m, dtype=np.float64, order="F")
-    if a.shape[0] < a.shape[1]:
-        a = np.asfortranarray(a.T)  # singular values are transpose-invariant
+    a = np.asarray(m if m.shape[0] >= m.shape[1] else m.T, dtype=np.float64)
     rows, n = a.shape
-    if n == 1:
-        return np.array([float(np.linalg.norm(a[:, 0]))])
-
-    def _col_norms2(x):
-        if complex_input:
-            return np.einsum("ij,ij->j", x.real, x.real) + np.einsum("ij,ij->j", x.imag, x.imag)
-        return np.einsum("ij,ij->j", x, x)
-
-    rounds = _round_robin_rounds(n)
-    off_max = np.inf
-    for sweep in range(max_sweeps):
-        norms2 = _col_norms2(a)
-        off_max = 0.0
-        for ii, jj in rounds:
-            u = a[:, ii]
-            v = a[:, jj]
-            gamma = np.einsum("ij,ij->j", u.conj(), v)
-            alpha = norms2[ii]
-            beta = norms2[jj]
-            g = np.abs(gamma)
-            denom = np.sqrt(alpha * beta)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rel = np.where(denom > 0.0, g / denom, 0.0)
-            rmax = float(rel.max())
-            if rmax > off_max:
-                off_max = rmax
-            rot = rel > tol
-            if not rot.any():
-                continue
-            if not rot.all():
-                ii = ii[rot]
-                jj = jj[rot]
-                u = u[:, rot]
-                v = v[:, rot]
-                gamma = gamma[rot]
-                g = g[rot]
-                alpha = alpha[rot]
-                beta = beta[rot]
-            phase = gamma / g
-            diff = beta - alpha
-            with np.errstate(over="ignore", invalid="ignore"):
-                zeta = diff / (2.0 * g)
-                root = np.sqrt(1.0 + zeta * zeta)
-                t = np.sign(zeta) / (np.abs(zeta) + root)
-            # norm ratios beyond ~1e154 overflow zeta^2; use the small-angle
-            # limit t -> g / (beta - alpha), which is the projection step
-            extreme = ~np.isfinite(root * zeta)
-            if extreme.any():
-                t[extreme] = g[extreme] / diff[extreme]
-            t[zeta == 0.0] = 1.0  # equal norms: rotate by 45 degrees
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            a[:, ii] = c * u - (s * np.conj(phase)) * v
-            a[:, jj] = (s * phase) * u + c * v
-            cross = 2.0 * c * s * g
-            norms2[ii] = np.maximum(c * c * alpha + s * s * beta - cross, 0.0)
-            norms2[jj] = np.maximum(s * s * alpha + c * c * beta + cross, 0.0)
-        if off_max <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge for a {rows}x{n} matrix within "
-            f"{max_sweeps} sweeps (max off-diagonal ratio {off_max:.3e})"
-        )
-    sv = np.sqrt(_col_norms2(a))
-    sv[::-1].sort()
-    return sv
+    # joba=0 ('C'), jobu=jobv=3 (no vectors), jobr=0 (keep tiny columns), jobp=0
+    sva, _, _, work, _, info = dgejsv(a, joba=0, jobu=3, jobv=3, jobr=0, jobp=0)
+    if info > 0:
+        raise ConvergenceError(f"dgejsv did not converge for a {rows}x{n} matrix (info={info})")
+    if info < 0:
+        raise ValueError(f"dgejsv rejected argument {-info}")
+    return sva * (work[1] / work[0])
 
 
 @dataclass(frozen=True)
@@ -242,17 +168,18 @@ _INVITER_SEED = 0x5159A17E
 def sigma_min_fast(m: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> SigmaMinResult:
     """Smallest singular value via LU with partial pivoting plus inverse iteration.
 
-    Block power iteration of width two on (m* m)^{-1} through the
-    factorization's triangular solves (one step per column is w = m^{-*} v,
+    Block power iteration of width two on (m^T m)^{-1} through the
+    factorization's triangular solves (one step per column is w = m^{-T} v,
     z = m^{-1} w).  A two-dimensional block keeps the convergence rate at
     (sigma_min / sigma_3)^2 even when the two smallest singular values are
     nearly tied, which stalls a single vector.  The Rayleigh-Ritz value mu
     estimates 1 / sigma_min^2 and the Ritz residual ||H^{-1} u - mu u||
     certifies its error to within ``tol * mu``.  An exactly singular LU (zero
     pivot) returns the ``singular`` flag; exceeding ``max_iter`` iterations
-    falls back to :func:`dense_svd`.
+    falls back to :func:`dense_svd`, whose LAPACK cost is O(n^3).  Raises
+    :class:`TypeError` on complex input.
     """
-    m = np.asarray(m)
+    m = _real_matrix(m, "sigma_min_fast")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
     n = m.shape[0]
@@ -265,14 +192,12 @@ def sigma_min_fast(m: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> Si
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_INVITER_SEED)))
     width = min(2, n)
     v = rng.standard_normal((n, width))
-    if np.iscomplexobj(lu):
-        v = v + 1j * rng.standard_normal((n, width))
     v, _ = np.linalg.qr(v)
     for _ in range(max_iter):
-        w = lu_solve((lu, piv), v, trans=2, check_finite=False)
+        w = lu_solve((lu, piv), v, trans=1, check_finite=False)
         z = lu_solve((lu, piv), w, trans=0, check_finite=False)  # H^{-1} V
-        b = v.conj().T @ z
-        b = (b + b.conj().T) / 2.0
+        b = v.T @ z
+        b = (b + b.T) / 2.0
         theta, y = np.linalg.eigh(b)
         mu = float(theta[-1])
         if not np.isfinite(mu) or mu <= 0.0:
@@ -290,7 +215,7 @@ def sigma_min_fast(m: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> Si
 class SchurBlock:
     """Trailing n x n block of C_2n^{-1} with the two spectral weight lists.
 
-    ``diag1`` and ``diag2`` hold the reciprocal eigenvalues 1/G_2n(w^k) for
+    ``matrix`` is real ``float64``, as C_2n is.  ``diag1`` and ``diag2`` hold the reciprocal eigenvalues 1/G_2n(w^k) for
     k = 0..n-1 and k = n..2n-1, the diagonals of the blocked spectral factor.
     """
 
@@ -313,7 +238,8 @@ def _schur_from_eigenvalues(lam: np.ndarray, singular_tolerance: float | None = 
     weights = 1.0 / lam
     # First row of the inverse circulant; its (i, j) entry is row[(j-i) mod 2n],
     # so the trailing block equals the leading block and is wrap-around Toeplitz.
-    row = np.fft.fft(weights) / big_n
+    # C_2n is real, so the row is real up to roundoff in its imaginary part.
+    row = (np.fft.fft(weights) / big_n).real
     j = np.arange(n)
     s = row[(j[None, :] - j[:, None]) % big_n]
     return SchurBlock(n, s, weights[:n].copy(), weights[n:].copy())

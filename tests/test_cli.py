@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from circulab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
+from circulab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
 
 
 def run(tmp_path, *argv):
@@ -160,6 +160,24 @@ class TestExperimentCommand:
         code = run(tmp_path, "experiment", "interlace", "--dist", "normal",
                    "--sizes", "4,8", "--trials", "5", "--seed", "1")
         assert code == EXIT_OK
+
+    def test_interlace_rademacher_tight_margins(self, tmp_path):
+        # clause-c margins cluster within ~1e-16 but span ~1; Freedman-Diaconis
+        # binning once asked for exabytes here
+        code = run(tmp_path, "experiment", "interlace", "--dist", "rademacher",
+                   "--sizes", "2,3", "--trials", "40", "--seed", "4")
+        assert code == EXIT_OK
+        data = json.loads((tmp_path / "interlace_rademacher_summary.json").read_text())
+        for summary in data["margin_summaries"].values():
+            assert sum(b["count"] for b in summary["bins"]) == summary["count"]
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, nonconverging_dgejsv):
+        code = run(tmp_path, "experiment", "rect", "--dist", "normal",
+                   "--sizes", "4", "--trials", "2", "--seed", "2")
+        assert code == EXIT_NUMERICAL == 3
+        err = capsys.readouterr().err
+        assert err.startswith("circulab: numerical failure:") and "8x4" in err
+        assert err.count("\n") == 1
 
     def test_xi_star_fixed(self, tmp_path):
         code = run(tmp_path, "experiment", "rect", "--dist", "normal",

@@ -103,6 +103,13 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_tight_cluster_with_outlier_caps_bins(self):
+        # IQR ~1e-16 against a unit range asks Freedman-Diaconis for ~1e16 bins
+        x = np.concatenate([np.full(30, 0.5) + np.arange(30) * 1e-17, [0.0, 1.0]])
+        s = summarize(x)
+        assert len(s.bins) <= 10_000
+        assert sum(c for _, _, c in s.bins) == x.size
+
     def test_histogram_counts_total(self):
         gen, _ = trial_stream(2, 1, 0)
         x = Distribution("normal").sample(gen, 500)
@@ -175,15 +182,26 @@ class TestTable1:
 
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        paths = {}
-        for workers in (1, 4):
-            config = cfg(experiment="sigmin", n=0, sizes=(32,), trials=60,
-                         rho=0.2, workers=workers)
-            res = run_sigma_min_tail(config)
-            p = tmp_path / f"w{workers}.csv"
-            trials_to_csv(res.records[32], p, config.science_dict())
-            paths[workers] = p.read_bytes()
-        assert paths[1] == paths[4]
+        # sigmin is FFT-only; rect and interlace run LAPACK dgejsv in every trial
+        cases = [
+            ("sigmin", run_sigma_min_tail, (32,), 60),
+            ("rect", run_rectangular, (8, 24), 20),
+            ("interlace", run_interlacing_suite, (8, 24), 12),
+        ]
+        for kind, run, sizes, trials in cases:
+            blobs = {}
+            for workers in (1, 4):
+                config = cfg(experiment=kind, sizes=sizes, trials=trials, rho=0.2,
+                             workers=workers)
+                res = run(config)
+                out = tmp_path / f"{kind}_w{workers}"
+                out.mkdir()
+                for n in sizes:
+                    trials_to_csv(res.records[n], out / f"n{n}.csv", config.science_dict())
+                summary_to_json(res.to_dict(), out / "summary.json")
+                blobs[workers] = [p.read_bytes() for p in sorted(out.iterdir())]
+            assert len(blobs[1]) == len(sizes) + 1
+            assert blobs[1] == blobs[4], kind
 
     def test_rerun_identical(self, tmp_path):
         blobs = []
