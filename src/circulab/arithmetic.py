@@ -407,8 +407,10 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     return factors
 
 
+@lru_cache(maxsize=4)
 def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # All divisors e of m with Euler phi(e), built multiplicatively.
+    # All divisors e of m with Euler phi(e), built multiplicatively; cached
+    # like _gcd_table because a census sweep asks for each M several times.
     divs = [1]
     phis = [1]
     for p, e in _factorize(m):
@@ -423,7 +425,10 @@ def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
             phi_pk = pk * (p - 1)
             pk *= p
         divs, phis = new_divs, new_phis
-    return np.asarray(divs, dtype=np.int64), np.asarray(phis, dtype=np.int64)
+    divs, phis = np.asarray(divs, dtype=np.int64), np.asarray(phis, dtype=np.int64)
+    divs.setflags(write=False)
+    phis.setflags(write=False)
+    return divs, phis
 
 
 @lru_cache(maxsize=4)

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .matrices import (
+    CirculantSpec,
     CoefficientSequence,
     SymmetricCirculantSpec,
     ToeplitzSpec,
@@ -30,6 +31,7 @@ from .spectral import (
     SingularEmbeddingError,
     _schur_from_eigenvalues,
     cauchy_interlacing_check,
+    circulant_eigenvalues,
     circulant_extremes,
     sigma_min_fast,
     verify_interlacing,
@@ -321,10 +323,6 @@ def _map_trials(fn: Callable[[int], object], count: int, workers: int) -> list:
     return [fn(t) for t in range(count)]
 
 
-def _circulant_eigs(row: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(row) * row.size
-
-
 # ---------------------------------------------------------------------------
 # Table-1 experiment: sigma_min of the Schur block at dimension 2n
 
@@ -368,7 +366,7 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
         attempt = 0
         while True:
             row = config.distribution.sample(gen, big_n)
-            lam = _circulant_eigs(row)
+            lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
             rep = circulant_extremes(lam)
             try:
                 block = _schur_from_eigenvalues(lam)
@@ -424,13 +422,12 @@ class SigmaMaxResult:
         }
 
 
-def _draw_row(config: ExperimentConfig, gen: np.random.Generator, n: int) -> np.ndarray:
-    """First row of the trial circulant, symmetric when requested."""
+def _draw_circulant(config: ExperimentConfig, gen: np.random.Generator, n: int) -> CirculantSpec:
+    """The trial circulant, symmetric when requested."""
     if config.symmetric:
         free = config.distribution.sample(gen, n // 2 + 1)
-        spec = SymmetricCirculantSpec(n, CoefficientSequence(free))
-        return expand_symmetric_circulant(spec).first_row.values
-    return config.distribution.sample(gen, n)
+        return expand_symmetric_circulant(SymmetricCirculantSpec(n, CoefficientSequence(free)))
+    return CirculantSpec(n, CoefficientSequence(config.distribution.sample(gen, n)))
 
 
 def run_sigma_max_tail(config: ExperimentConfig) -> SigmaMaxResult:
@@ -448,12 +445,11 @@ def run_sigma_max_tail(config: ExperimentConfig) -> SigmaMaxResult:
     def one_size(n: int) -> tuple[TrialRecord, ...]:
         def one(t: int) -> TrialRecord:
             gen, seed = trial_stream(config.master_seed, n, t)
-            row = _draw_row(config, gen, n)
-            lam = _circulant_eigs(row)
-            rep = circulant_extremes(lam)
+            spec = _draw_circulant(config, gen, n)
+            rep = circulant_extremes(circulant_eigenvalues(spec))
             ratio_lower = ratio_upper = None
             if config.oversampling > 4:
-                poly = TrigPolynomial(CoefficientSequence(row), symmetric=config.symmetric)
+                poly = TrigPolynomial(spec.first_row, symmetric=config.symmetric)
                 bracket = max_modulus(poly, config.oversampling)
                 ratio_lower, ratio_upper = salem_zygmund_ratio(bracket, n)
             return TrialRecord(
@@ -521,8 +517,7 @@ def run_sigma_min_tail(config: ExperimentConfig) -> SigmaMinTailResult:
     def one_size(n: int) -> tuple[TrialRecord, ...]:
         def one(t: int) -> TrialRecord:
             gen, seed = trial_stream(config.master_seed, n, t)
-            row = _draw_row(config, gen, n)
-            rep = circulant_extremes(_circulant_eigs(row))
+            rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
             flags = ("singular-embedding",) if rep.singular else ()
             return TrialRecord(
                 t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
@@ -582,8 +577,7 @@ def run_condition_number(config: ExperimentConfig) -> ConditionNumberResult:
     def one_size(n: int) -> tuple[TrialRecord, ...]:
         def one(t: int) -> TrialRecord:
             gen, seed = trial_stream(config.master_seed, n, t)
-            row = _draw_row(config, gen, n)
-            rep = circulant_extremes(_circulant_eigs(row))
+            rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
             flags = ("singular-embedding",) if rep.singular else ()
             return TrialRecord(
                 t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
@@ -662,8 +656,7 @@ def run_rectangular(config: ExperimentConfig) -> RectangularResult:
             gen, seed = trial_stream(config.master_seed, n, t)
             spec, xi_star = _draw_toeplitz(config, gen, n)
             cspec = embed_toeplitz(spec, xi_star)
-            lam = _circulant_eigs(cspec.first_row.values)
-            rep = circulant_extremes(lam)
+            rep = circulant_extremes(circulant_eigenvalues(cspec))
             stack = materialize_circulant(cspec)[:, :n]
             sv = dense_svd(stack)
             tol = 1e-8 * rep.sigma_max

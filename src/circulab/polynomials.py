@@ -72,12 +72,18 @@ class MaxModulusBracket:
 
 
 def max_modulus(p: TrigPolynomial, oversampling: int = 64) -> MaxModulusBracket:
-    """Bracket max |W| from a K n point grid; requires oversampling K > 4."""
+    """Bracket max |W| from a K n point grid; requires oversampling K > 4.
+
+    The coefficients are real, so W(2 pi (m - k) / m) = conj W(2 pi k / m)
+    and the grid maximum is attained on k = 0..floor(m/2).  Those values
+    are the conjugates of a real half-spectrum FFT, so ``witness_x`` lies
+    in [0, pi].
+    """
     k = int(oversampling)
     if k <= 4:
         raise ValueError("oversampling must exceed 4 for a finite bracket")
     m = k * p.n
-    mags = np.abs(evaluate_on_grid(p, m))
+    mags = np.abs(np.fft.rfft(p.coeffs.values, n=m))
     arg = int(np.argmax(mags))
     lower = float(mags[arg])
     upper = lower / (1.0 - math.pi / k)

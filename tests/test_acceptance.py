@@ -2,7 +2,7 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 captured output).  The Table-1 reproduction and the census sweep dominate the
-runtime; the whole module takes roughly 10-20 minutes on two cores.
+runtime; the whole module takes about 6 minutes on two cores.
 """
 
 import math

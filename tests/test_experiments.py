@@ -182,9 +182,10 @@ class TestTable1:
 
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        # sigmin is FFT-only; rect and interlace run LAPACK dgejsv in every trial
+        # sigmin and sigmax are FFT-only; rect and interlace run LAPACK dgejsv in every trial
         cases = [
             ("sigmin", run_sigma_min_tail, (32,), 60),
+            ("sigmax", run_sigma_max_tail, (16, 64), 30),
             ("rect", run_rectangular, (8, 24), 20),
             ("interlace", run_interlacing_suite, (8, 24), 12),
         ]
@@ -199,8 +200,10 @@ class TestDeterminism:
                 for n in sizes:
                     trials_to_csv(res.records[n], out / f"n{n}.csv", config.science_dict())
                 summary_to_json(res.to_dict(), out / "summary.json")
+                if kind == "sigmax":
+                    ratios_to_csv(res.records, "normal", out / "ratios.csv")
                 blobs[workers] = [p.read_bytes() for p in sorted(out.iterdir())]
-            assert len(blobs[1]) == len(sizes) + 1
+            assert len(blobs[1]) == len(sizes) + 1 + (kind == "sigmax")
             assert blobs[1] == blobs[4], kind
 
     def test_rerun_identical(self, tmp_path):

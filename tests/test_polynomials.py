@@ -106,6 +106,41 @@ class TestMaxModulus:
         assert b1.lower == b2.lower and b1.upper == b2.upper
 
 
+class TestHalfSpectrumGrid:
+    """max_modulus scans k = 0..floor(m/2); the full grid is the oracle."""
+
+    @staticmethod
+    def direct_sum(values, x):
+        return abs(np.sum(values * np.exp(1j * np.arange(values.size) * x)))
+
+    @pytest.mark.parametrize("k, n", [(7, 9), (8, 9), (64, 16), (65, 33)])
+    def test_lower_is_full_grid_maximum(self, k, n):
+        # odd grids (7*9, 65*33) have no Nyquist point; even ones do
+        rng = np.random.default_rng(100 * k + n)
+        p = poly(rng.standard_normal(n))
+        full = float(np.abs(evaluate_on_grid(p, k * n)).max())
+        assert max_modulus(p, k).lower == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("k, n", [(7, 9), (8, 9), (64, 31)])
+    def test_witness_in_upper_half_and_attains_lower(self, k, n):
+        rng = np.random.default_rng(7 * n + k)
+        vals = rng.standard_normal(n)
+        b = max_modulus(poly(vals), k)
+        assert 0.0 <= b.witness_x <= math.pi
+        assert self.direct_sum(vals, b.witness_x) == pytest.approx(b.lower, rel=1e-12)
+
+    def test_symmetric_polynomial(self):
+        rng = np.random.default_rng(5)
+        free = rng.standard_normal(6)
+        row = np.concatenate([free, free[:0:-1]])  # xi_j = xi_{n-j}, n = 11
+        p = poly(row, symmetric=True)
+        b = max_modulus(p, 7)
+        full = float(np.abs(evaluate_on_grid(p, 7 * 11)).max())
+        assert b.lower == pytest.approx(full, rel=1e-12)
+        assert 0.0 <= b.witness_x <= math.pi
+        assert self.direct_sum(row, b.witness_x) == pytest.approx(b.lower, rel=1e-12)
+
+
 class TestSymmetricSpectrum:
     def test_symmetric_polynomial_real_at_roots_of_unity(self):
         rng = np.random.default_rng(8)
