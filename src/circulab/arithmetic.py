@@ -385,10 +385,9 @@ def lemma_rows_to_csv(rows: list[dict], path) -> None:
         raise ValueError("no rows to write")
     fields = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=fields)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w = csv.writer(fh)
+        w.writerow(fields)
+        w.writerows([row[f] for f in fields] for row in rows)
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:
@@ -434,18 +433,32 @@ def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=4)
 def _gcd_table(m: int) -> np.ndarray:
     # gcd(k, m) for k = 1..floor((m-1)/2); the rest follows from gcd(m-k, m) = gcd(k, m).
+    # gcd(k, m) is the largest divisor d of m with d | k: mark the multiples of
+    # each divisor in increasing order, so the largest one is written last.
+    # Divisor 1 is the fill value and m lies past half.  The divisors come from
+    # a direct scan, independent of _factorize, so the census still checks the
+    # totient side rather than sharing its arithmetic.
     half = (m - 1) // 2
     dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-    return np.gcd(np.arange(1, half + 1, dtype=dtype), dtype(m))
+    small = [d for d in range(2, math.isqrt(m) + 1) if m % d == 0]
+    table = np.ones(half, dtype=dtype)
+    for d in sorted({*small, *(m // d for d in small)}):
+        if d > half:
+            break
+        table[d - 1 :: d] = d
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
 class GcdCensus:
     """Count of k in [1, M] with gcd(k, M) >= y, by enumeration and by totients.
 
-    ``exact_count`` enumerates gcd values; ``totient_sum`` is
-    sum_{d | M, d >= y} phi(M/d).  The two are equal for every real y >= 1
-    because gcd only takes integer divisor values.
+    ``exact_count`` enumerates gcd(k, M) for every k and counts the values
+    >= y; each gcd is found as the largest divisor of M that divides k, by
+    marking the multiples of every divisor.  ``totient_sum`` is
+    sum_{d | M, d >= y} phi(M/d), from the factorization of M.  The two are
+    equal for every real y >= 1 because gcd only takes integer divisor values.
     """
 
     M: int

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circulab import arithmetic
 from circulab.arithmetic import (
     CosineVectorSpec,
     condition_h_check,
@@ -281,6 +282,39 @@ class TestGcdCensus:
             gcd_census(0, 1)
         with pytest.raises(ValueError):
             gcd_census(5, 0.5)
+
+    @staticmethod
+    def _np_gcd_half(m):
+        return np.gcd(np.arange(1, (m - 1) // 2 + 1), m)
+
+    def test_table_matches_np_gcd_small(self):
+        for m in range(1, 3001):
+            np.testing.assert_array_equal(arithmetic._gcd_table(m), self._np_gcd_half(m))
+
+    @pytest.mark.parametrize("m", [30_030, 65_536, 65_537, 99_991, 720_720])
+    def test_table_matches_np_gcd_structured(self, m):
+        np.testing.assert_array_equal(arithmetic._gcd_table(m), self._np_gcd_half(m))
+
+    def test_table_is_read_only(self):
+        table = arithmetic._gcd_table(60)
+        with pytest.raises(ValueError):
+            table[0] = 7
+
+    def test_census_detects_factorization_fault(self, monkeypatch):
+        # The enumeration must not share the totient side's factorization:
+        # dropping a prime from _factorize has to show up as a mismatch.
+        caches = (arithmetic._divisors_with_phi, arithmetic._gcd_table)
+        real = arithmetic._factorize
+        monkeypatch.setattr(arithmetic, "_factorize", lambda m: real(m)[1:])
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            census = gcd_census(60, 2)
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        assert census.exact_count == 44
+        assert census.exact_count != census.totient_sum
 
 
 class TestLevyConcentration:
