@@ -74,6 +74,7 @@ from .spectral import (
     circulant_extremes,
     dense_svd,
     schur_block_oracle,
+    schur_sigma_min,
     sigma_min_fast,
     symmetric_circulant_eigenvalues,
     verify_interlacing,

@@ -353,7 +353,8 @@ def _cmd_experiment(args, out: Path) -> int:
         experiments.summary_to_json(res.to_dict(), out / f"table1_{dist}_summary.json")
         mean = res.summary.mean if res.summary else float("nan")
         print(f"table1 {dist} 2n={config.n}: mean sigmin_S={mean:.6f} "
-              f"({res.singular_count} singular, {res.fallback_count} fallback)")
+              f"({res.singular_count} singular, {res.fallback_count} fallback, "
+              f"{res.structured_fallback_count} structured-fallback)")
     elif args.kind == "sigmax":
         res = experiments.run_sigma_max_tail(config)
         for n, recs in res.records.items():

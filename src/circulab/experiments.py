@@ -29,11 +29,10 @@ from .matrices import (
 from .polynomials import TrigPolynomial, max_modulus, salem_zygmund_ratio
 from .spectral import (
     SingularEmbeddingError,
-    _schur_from_eigenvalues,
     cauchy_interlacing_check,
     circulant_eigenvalues,
     circulant_extremes,
-    sigma_min_fast,
+    schur_sigma_min,
     verify_interlacing,
 )
 
@@ -334,6 +333,7 @@ class Table1Result:
     summary: SummaryStats | None
     singular_count: int
     fallback_count: int
+    structured_fallback_count: int
 
     def to_dict(self) -> dict:
         return {
@@ -342,6 +342,7 @@ class Table1Result:
             "config": self.config,
             "singular_count": self.singular_count,
             "fallback_count": self.fallback_count,
+            "structured_fallback_count": self.structured_fallback_count,
             "summary": self.summary.to_dict() if self.summary else None,
         }
 
@@ -349,12 +350,18 @@ class Table1Result:
 def run_table1(config: ExperimentConfig) -> Table1Result:
     """Monte Carlo for sigma_min of the Schur block S_n at dimension 2n = config.n.
 
-    Per trial: draw the 2n circulant coefficients, assemble S_n, measure its
-    smallest singular value by the LU fast path.  The tabulated statistic is
-    reported in the non-unitary DFT normalization, i.e. 2n * sigma_min(S_n)
-    for S_n the trailing block of C_2n^{-1} (the two conventions differ by
-    exactly the factor 2n).  Singular embeddings are flagged and excluded
-    from the summary rather than resampled, unless resampling is requested.
+    Per trial: draw the 2n circulant coefficients and measure the smallest
+    singular value of S_n by :func:`spectral.schur_sigma_min`, which never
+    forms S_n: Levinson and Gohberg-Semencul solves on the Toeplitz block,
+    FFT products only, with a backward-error guard.  A trial whose guard
+    fails is answered by the LU path on the gathered block and flagged
+    ``structured-fallback``; LAPACK makes those values depend on the BLAS
+    thread count, while the structured values do not.  The tabulated
+    statistic is reported in the non-unitary DFT normalization, i.e.
+    2n * sigma_min(S_n) for S_n the trailing block of C_2n^{-1} (the two
+    conventions differ by exactly the factor 2n).  Singular embeddings are
+    flagged and excluded from the summary rather than resampled, unless
+    resampling is requested.
     """
     big_n = config.n
     if big_n < 2 or big_n % 2 != 0:
@@ -369,7 +376,7 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
             lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
             rep = circulant_extremes(lam)
             try:
-                block = _schur_from_eigenvalues(lam)
+                res = schur_sigma_min(lam)
             except SingularEmbeddingError:
                 if config.resample_singular and attempt < 64:
                     attempt += 1
@@ -382,7 +389,8 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
                 )
             if attempt:
                 flags.append(f"resampled-{attempt}")
-            res = sigma_min_fast(block.matrix)
+            if res.structured_fallback:
+                flags.append("structured-fallback")
             if res.used_fallback:
                 flags.append("fallback-used")
             if res.singular:
@@ -397,8 +405,10 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
     good = [r.sigmin_s for r in records if r.sigmin_s is not None]
     singular = sum(1 for r in records if "singular-embedding" in r.flags)
     fallback = sum(1 for r in records if "fallback-used" in r.flags)
+    structured_fallback = sum(1 for r in records if "structured-fallback" in r.flags)
     summary = SummaryStats.from_samples(good) if good else None
-    return Table1Result(config.science_dict(), tuple(records), summary, singular, fallback)
+    return Table1Result(config.science_dict(), tuple(records), summary, singular, fallback,
+                        structured_fallback)
 
 
 # ---------------------------------------------------------------------------

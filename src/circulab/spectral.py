@@ -1,4 +1,4 @@
-"""Spectral engine: circulant eigenvalues, dense SVD, Schur block, interlacing.
+"""Spectral engine: circulant eigenvalues, dense SVD, Schur block and its sigma_min, interlacing.
 
 Eigenvalue vectors are complex arrays in DFT order (index k matters and is
 never sorted); singular value vectors are real arrays sorted descending.  The
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_toeplitz
 from scipy.linalg.lapack import dgejsv
 
 from .matrices import (
@@ -37,6 +38,7 @@ __all__ = [
     "circulant_extremes",
     "dense_svd",
     "sigma_min_fast",
+    "schur_sigma_min",
     "build_schur_block",
     "schur_block_oracle",
     "verify_interlacing",
@@ -155,60 +157,100 @@ def dense_svd(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SigmaMinResult:
-    """Smallest singular value from the LU / inverse-iteration fast path."""
+    """Smallest singular value from an inverse-iteration path.
+
+    ``iterations`` counts block iterations and ``residual`` is the last
+    relative Ritz residual ||H^{-1} u - mu u|| / mu (both 0 when no iteration
+    ran).  ``used_fallback`` marks a value from the dense SVD after the
+    iteration budget ran out; ``structured_fallback`` marks a
+    :func:`schur_sigma_min` value that came from the LU path because the
+    structured kernel failed or failed its guard.
+    """
 
     value: float
     singular: bool = False
     used_fallback: bool = False
+    iterations: int = 0
+    residual: float = 0.0
+    structured_fallback: bool = False
 
 
 _INVITER_SEED = 0x5159A17E
 
 
+class _RitzPair(NamedTuple):
+    mu: float
+    iterations: int
+    residual: float
+    vector: np.ndarray | None  # None unless the certificate was met
+    block: np.ndarray          # the last orthonormal block V
+
+
+def _start_block(n: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_INVITER_SEED)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, min(2, n))))
+    return v
+
+
+def _top_ritz_pair(apply_hinv: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
+                   tol: float, max_iter: int) -> _RitzPair:
+    """Width-two block power iteration for the largest eigenvalue of H^{-1} = (m^T m)^{-1}.
+
+    ``apply_hinv`` maps an n x 2 block to H^{-1} times it, and ``v`` is the
+    orthonormal start block.  A two-dimensional block keeps the convergence
+    rate at (sigma_min / sigma_3)^2 even when the two smallest singular
+    values are nearly tied, which stalls a single vector.  The Rayleigh-Ritz
+    value mu estimates 1 / sigma_min^2 and the Ritz residual
+    ||H^{-1} u - mu u|| certifies its error to within ``tol * mu``.
+    """
+    rel = np.inf
+    for it in range(1, max_iter + 1):
+        z = apply_hinv(v)
+        b = v.T @ z
+        b = (b + b.T) / 2.0
+        theta, y = np.linalg.eigh(b)
+        mu = float(theta[-1])
+        if not np.isfinite(mu) or mu <= 0.0:
+            return _RitzPair(mu, it, np.inf, None, v)
+        ritz = v @ y[:, -1]
+        resid = float(np.linalg.norm(z @ y[:, -1] - mu * ritz))
+        rel = resid / mu
+        if resid <= tol * mu:
+            return _RitzPair(mu, it, rel, ritz, v)
+        v, _ = np.linalg.qr(z)
+    return _RitzPair(mu, max_iter, rel, None, v)
+
+
 def sigma_min_fast(m: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> SigmaMinResult:
     """Smallest singular value via LU with partial pivoting plus inverse iteration.
 
-    Block power iteration of width two on (m^T m)^{-1} through the
-    factorization's triangular solves (one step per column is w = m^{-T} v,
-    z = m^{-1} w).  A two-dimensional block keeps the convergence rate at
-    (sigma_min / sigma_3)^2 even when the two smallest singular values are
-    nearly tied, which stalls a single vector.  The Rayleigh-Ritz value mu
-    estimates 1 / sigma_min^2 and the Ritz residual ||H^{-1} u - mu u||
-    certifies its error to within ``tol * mu``.  An exactly singular LU (zero
-    pivot) returns the ``singular`` flag; exceeding ``max_iter`` iterations
-    falls back to :func:`dense_svd`, whose LAPACK cost is O(n^3).  Raises
+    The block iteration of :func:`_top_ritz_pair` runs on (m^T m)^{-1}
+    through the factorization's triangular solves (one step per column is
+    w = m^{-T} v, z = m^{-1} w).  An exactly singular LU (zero pivot) returns
+    the ``singular`` flag; exceeding ``max_iter`` iterations falls back to
+    :func:`dense_svd`, whose LAPACK cost is O(n^3).  Raises
     :class:`TypeError` on complex input.
     """
     m = _real_matrix(m, "sigma_min_fast")
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"need a square matrix, got shape {m.shape}")
-    n = m.shape[0]
     with warnings.catch_warnings():
         # an exactly zero pivot is handled via the singular flag below
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(m, check_finite=False)
     if float(np.min(np.abs(np.diag(lu)))) == 0.0:
         return SigmaMinResult(0.0, singular=True)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_INVITER_SEED)))
-    width = min(2, n)
-    v = rng.standard_normal((n, width))
-    v, _ = np.linalg.qr(v)
-    for _ in range(max_iter):
+
+    def apply_hinv(v):
         w = lu_solve((lu, piv), v, trans=1, check_finite=False)
-        z = lu_solve((lu, piv), w, trans=0, check_finite=False)  # H^{-1} V
-        b = v.T @ z
-        b = (b + b.T) / 2.0
-        theta, y = np.linalg.eigh(b)
-        mu = float(theta[-1])
-        if not np.isfinite(mu) or mu <= 0.0:
-            break
-        ritz = v @ y[:, -1]
-        resid = float(np.linalg.norm(z @ y[:, -1] - mu * ritz))
-        if resid <= tol * mu:
-            return SigmaMinResult(1.0 / np.sqrt(mu))
-        v, _ = np.linalg.qr(z)
+        return lu_solve((lu, piv), w, trans=0, check_finite=False)
+
+    pair = _top_ritz_pair(apply_hinv, _start_block(m.shape[0]), tol, max_iter)
+    if pair.vector is not None:
+        return SigmaMinResult(1.0 / np.sqrt(pair.mu), iterations=pair.iterations, residual=pair.residual)
     sv = dense_svd(m)
-    return SigmaMinResult(float(sv[-1]), used_fallback=True)
+    return SigmaMinResult(float(sv[-1]), used_fallback=True, iterations=pair.iterations,
+                          residual=pair.residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +267,14 @@ class SchurBlock:
     diag2: np.ndarray
 
 
-def _schur_from_eigenvalues(lam: np.ndarray, singular_tolerance: float | None = None) -> SchurBlock:
-    big_n = lam.size
-    n = big_n // 2
+def _inverse_circulant_row(lam: np.ndarray,
+                           singular_tolerance: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Reciprocal spectrum 1/lambda and the first row of C_2n^{-1}.
+
+    The (i, j) entry of C_2n^{-1} is row[(j - i) mod 2n], so its trailing
+    n x n block equals the leading one and is Toeplitz.  C_2n is real, so the
+    row is real up to roundoff in its imaginary part, which is dropped.
+    """
     if singular_tolerance is None:
         singular_tolerance = default_singular_tolerance(lam)
     mags = np.abs(lam)
@@ -236,13 +283,19 @@ def _schur_from_eigenvalues(lam: np.ndarray, singular_tolerance: float | None = 
         k = int(bad[0])
         raise SingularEmbeddingError(k, float(mags[k]))
     weights = 1.0 / lam
-    # First row of the inverse circulant; its (i, j) entry is row[(j-i) mod 2n],
-    # so the trailing block equals the leading block and is wrap-around Toeplitz.
-    # C_2n is real, so the row is real up to roundoff in its imaginary part.
-    row = (np.fft.fft(weights) / big_n).real
+    return weights, (np.fft.fft(weights) / lam.size).real
+
+
+def _toeplitz_block(row: np.ndarray) -> np.ndarray:
+    n = row.size // 2
     j = np.arange(n)
-    s = row[(j[None, :] - j[:, None]) % big_n]
-    return SchurBlock(n, s, weights[:n].copy(), weights[n:].copy())
+    return row[(j[None, :] - j[:, None]) % row.size]
+
+
+def _schur_from_eigenvalues(lam: np.ndarray, singular_tolerance: float | None = None) -> SchurBlock:
+    n = lam.size // 2
+    weights, row = _inverse_circulant_row(lam, singular_tolerance)
+    return SchurBlock(n, _toeplitz_block(row), weights[:n].copy(), weights[n:].copy())
 
 
 def build_schur_block(spec: CirculantSpec, singular_tolerance: float | None = None) -> SchurBlock:
@@ -262,6 +315,162 @@ def build_schur_block(spec: CirculantSpec, singular_tolerance: float | None = No
         raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
     lam = circulant_eigenvalues(spec)
     return _schur_from_eigenvalues(lam, singular_tolerance)
+
+
+_GS_BACKWARD_TOL = 1e-12
+_GS_SINGULAR_RATIO = 1e-8
+
+
+def _schur_matvec(weights: np.ndarray, v: np.ndarray, trans: bool = False) -> np.ndarray:
+    """S v (S^T v when ``trans``) for the n x n Schur block S and an n x k block v.
+
+    S v is the first n entries of C_2n^{-1} [v; 0], one length-2n real FFT
+    product with the reciprocal spectrum ``weights`` = 1/lambda (its
+    conjugate for S^T); C_2n is real, so half of the spectrum suffices.
+    """
+    big_n = weights.size
+    n = big_n // 2
+    w = weights[: n + 1, None]
+    if trans:
+        w = w.conj()
+    return np.fft.irfft(np.fft.rfft(v, big_n, axis=0) * w, big_n, axis=0)[:n]
+
+
+class _GohbergSemencul:
+    """Products with S^{-1} and S^{-T} for the Toeplitz Schur block S of C_2n^{-1}.
+
+    Levinson (``scipy.linalg.solve_toeplitz``) gives x = S^{-1} e_0 and
+    y = S^{-1} e_{n-1}; then, with L(v) / U(v) the lower / upper triangular
+    Toeplitz matrices with first column / row v, J the reversal and Z the
+    down-shift, S^{-1} = (L(x) U(Jy) - L(Zy) U(ZJx)) / x_0 (Gohberg and
+    Semencul, Mat. Issled. 7(2), 1972), and S^{-T} swaps the roles of the L
+    and U generators.  U(w) u = J L(w) J u, and L(w) u is the head of a
+    linear convolution, so every factor is a length-2n FFT product.
+
+    Levinson is not backward stable on an indefinite nonsymmetric block, so
+    x and y get one step of iterative refinement against the exact FFT
+    product with S (:func:`_schur_matvec`) before they become the
+    generators.  ``apply_inverse`` evaluates the formula alone, whose error
+    grows with the condition of S; ``solve`` adds one refinement step and is
+    as accurate as an LU solve.
+
+    The constructor raises ``LinAlgError`` when Levinson meets a singular
+    leading minor; ``ok`` is False when x_0 or a generator is not a usable
+    finite number.  ``scale`` is the 2-norm of the 2n - 1 distinct entries.
+    """
+
+    def __init__(self, weights: np.ndarray, row: np.ndarray):
+        big_n = row.size
+        n = big_n // 2
+        self.n, self.big_n = n, big_n
+        col = row[-np.arange(n) % big_n]
+        self.scale = float(np.sqrt(np.dot(col, col) + np.dot(row[1:n], row[1:n])))
+        self._weights = weights
+        rhs = np.zeros((n, 2))
+        rhs[0, 0] = rhs[n - 1, 1] = 1.0
+        xy = solve_toeplitz((col, row[:n]), rhs, check_finite=False)
+        self._set_generators(xy)
+        xy = xy + self.apply_inverse(rhs - _schur_matvec(weights, xy))
+        self._set_generators(xy)
+        self.ok = bool(np.all(np.isfinite(xy))) and xy[0, 0] != 0.0
+
+    def _set_generators(self, xy: np.ndarray) -> None:
+        n = self.n
+        x, y = xy[:, 0], xy[:, 1]
+        gens = np.zeros((self.big_n, 4))
+        gens[:n, 0] = x
+        gens[1:n, 1] = y[:-1]          # Zy
+        gens[:n, 2] = y[::-1]          # Jy
+        gens[1:n, 3] = x[:0:-1]        # ZJx
+        self._x0 = x[0]
+        self._gens = np.fft.rfft(gens, axis=0).T[:, :, None]  # (4, n + 1, 1)
+
+    def apply_inverse(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
+        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, by the formula alone."""
+        n, big_n = self.n, self.big_n
+        lx, lzy, ujy, uzjx = self._gens
+        if trans:
+            lx, lzy, ujy, uzjx = ujy, uzjx, lx, lzy
+        spec = np.fft.rfft(v[::-1], big_n, axis=0)
+        ab = np.fft.irfft(np.stack([ujy * spec, uzjx * spec]), big_n, axis=1)[:, n - 1 :: -1]
+        ab = np.fft.rfft(ab, big_n, axis=1)
+        return np.fft.irfft(lx * ab[0] - lzy * ab[1], big_n, axis=0)[:n] / self._x0
+
+    def solve(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
+        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, refined once."""
+        z = self.apply_inverse(v, trans)
+        return z + self.apply_inverse(v - _schur_matvec(self._weights, z, trans), trans)
+
+    def backward_error(self, z: np.ndarray, v: np.ndarray, trans: bool = False) -> float:
+        """||S z - v|| / (scale * ||z||), with S^T for ``trans``; NaN when z is not finite."""
+        residual = _schur_matvec(self._weights, z, trans) - v
+        return float(np.linalg.norm(residual) / (self.scale * np.linalg.norm(z)))
+
+
+def _structured_sigma_min(weights: np.ndarray, row: np.ndarray) -> SigmaMinResult | None:
+    """sigma_min of the Toeplitz block by Gohberg-Semencul solves, or None when a guard fails."""
+    gs = _GohbergSemencul(weights, row)
+    if not gs.ok:
+        return None
+    # Unrefined solves find the subspace; their error grows with the
+    # condition of S, so refined solves, restarted from that subspace,
+    # certify the value.  Tolerance and budget are sigma_min_fast's defaults.
+    rough = _top_ritz_pair(lambda v: gs.apply_inverse(gs.apply_inverse(v, trans=True)),
+                           _start_block(gs.n), 1e-10, 500)
+    if rough.vector is None:
+        return None
+    pair = _top_ritz_pair(lambda v: gs.solve(gs.solve(v, trans=True)), rough.block, 1e-10, 500)
+    if pair.vector is None:
+        return None
+    sigma = 1.0 / np.sqrt(pair.mu)
+    if not sigma >= _GS_SINGULAR_RATIO * gs.scale:
+        return None
+    u = pair.vector[:, None]
+    w = gs.solve(u, trans=True)
+    z = gs.solve(w)
+    worst = max(gs.backward_error(w, u, trans=True), gs.backward_error(z, w))
+    if not worst <= _GS_BACKWARD_TOL:
+        return None
+    return SigmaMinResult(sigma, iterations=rough.iterations + pair.iterations, residual=pair.residual)
+
+
+def schur_sigma_min(lam: np.ndarray) -> SigmaMinResult:
+    """sigma_min of the Schur block S_n straight from the spectrum of C_2n, never forming S_n.
+
+    S_n is Toeplitz, with entries from the first row of C_2n^{-1}.  Levinson
+    on S_n, refined once against the exact FFT product with S_n, gives the
+    Gohberg-Semencul generators of S_n^{-1}, so every step of the
+    :func:`sigma_min_fast` block iteration (same start, certificate and
+    tolerance) is a few length-2n real FFTs: no O(n^2) memory, and LAPACK
+    only on n x 2 blocks.  The iteration runs on the plain formula until its certificate
+    holds, then continues from that subspace with every solve refined once,
+    until the certificate holds again (usually after one step).  The leading
+    k x k minors of S_n are det(Toeplitz section of C_2n of size 2n - k) /
+    det C_2n by Jacobi's complementary-minor identity, so Levinson rarely
+    meets a singular one even for the discrete laws.
+
+    Guard: the result stands only if the iteration converged, sigma_min is
+    at least 1e-8 times the norm ||s|| of the 2n - 1 block entries (below
+    that the block is singular to working precision and either path returns
+    roundoff), and the two solves on the final Ritz vector have a relative
+    backward error ||S w - b|| / (||s|| ||w||) of at most 1e-12.
+    Otherwise, or when Levinson raises ``LinAlgError``, the block is gathered
+    and :func:`sigma_min_fast` (LU) answers, with ``structured_fallback`` set.
+    Raises :class:`SingularEmbeddingError` like :func:`build_schur_block` at
+    its default tolerance.
+    """
+    lam = np.asarray(lam)
+    if lam.size < 2 or lam.size % 2 != 0:
+        raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
+    weights, row = _inverse_circulant_row(lam, None)
+    try:
+        with np.errstate(all="ignore"):  # a failed Levinson shows up in the guard
+            res = _structured_sigma_min(weights, row)
+    except np.linalg.LinAlgError:
+        res = None
+    if res is not None:
+        return res
+    return replace(sigma_min_fast(_toeplitz_block(row)), structured_fallback=True)
 
 
 def schur_block_oracle(spec: CirculantSpec) -> SchurBlock:

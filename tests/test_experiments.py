@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 
+import circulab
+from circulab import spectral
 from circulab.experiments import (
     Distribution,
     ExperimentConfig,
@@ -22,7 +29,13 @@ from circulab.experiments import (
     wilson_interval,
 )
 from circulab.matrices import CirculantSpec, CoefficientSequence
-from circulab.spectral import dense_svd, schur_block_oracle
+from circulab.spectral import (
+    _schur_from_eigenvalues,
+    circulant_eigenvalues,
+    dense_svd,
+    schur_block_oracle,
+    sigma_min_fast,
+)
 
 
 def cfg(**kw):
@@ -179,32 +192,110 @@ class TestTable1:
         with pytest.raises(ValueError):
             run_table1(cfg(experiment="table1", n=7))
 
+    @staticmethod
+    def gathered_block(config, t):
+        gen, _ = trial_stream(config.master_seed, config.n, t)
+        row = config.distribution.sample(gen, config.n)
+        lam = circulant_eigenvalues(CirculantSpec(config.n, CoefficientSequence(row)))
+        return _schur_from_eigenvalues(lam).matrix
+
+    def test_levinson_garbage_falls_back_to_lu(self):
+        # at 2n = 8 and 16 Levinson on the block of a discrete draw can return
+        # without an error and still be wrong: the guard must send those trials
+        # to the LU path, flag them and report the LU value
+        silent = 0
+        for kind in ("rademacher", "bernoulli"):
+            for big_n in (8, 16):
+                config = cfg(experiment="table1", n=big_n, trials=40, master_seed=5,
+                             distribution=Distribution(kind))
+                res = run_table1(config)
+                flagged = [r for r in res.records if "structured-fallback" in r.flags]
+                assert res.structured_fallback_count == len(flagged)
+                assert res.to_dict()["structured_fallback_count"] == len(flagged)
+                for rec in res.records:
+                    if rec.sigmin_s is None:
+                        continue
+                    block = self.gathered_block(config, rec.trial_index)
+                    lu = big_n * sigma_min_fast(block).value
+                    if rec not in flagged:
+                        assert rec.sigmin_s == pytest.approx(lu, rel=1e-10, abs=0.0)
+                        continue
+                    assert rec.sigmin_s == lu
+                    n = big_n // 2
+                    try:
+                        solve_toeplitz((block[:, 0], block[0]), np.eye(n)[:, [0, n - 1]])
+                    except np.linalg.LinAlgError:
+                        continue
+                    silent += 1
+        assert silent >= 5
+
+    def test_levinson_error_falls_back_to_lu(self, monkeypatch):
+        def singular_minor(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular principal minor.")
+
+        monkeypatch.setattr(spectral, "solve_toeplitz", singular_minor)
+        config = cfg(experiment="table1", n=64, trials=6)
+        res = run_table1(config)
+        assert res.structured_fallback_count == 6
+        for rec in res.records:
+            assert rec.flags == ("structured-fallback",)
+            assert rec.sigmin_s == 64 * sigma_min_fast(self.gathered_block(config, rec.trial_index)).value
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        # sigmin and sigmax are FFT-only; rect and interlace run LAPACK dgejsv in every trial
+        # sigmin and sigmax are FFT-only; rect and interlace run LAPACK dgejsv in
+        # every trial; table1 runs the structured Schur-block kernel (FFTs and
+        # Levinson) at a size where a dense LAPACK path would thread
         cases = [
             ("sigmin", run_sigma_min_tail, (32,), 60),
             ("sigmax", run_sigma_max_tail, (16, 64), 30),
             ("rect", run_rectangular, (8, 24), 20),
             ("interlace", run_interlacing_suite, (8, 24), 12),
+            ("table1", run_table1, (64,), 12),
+            ("table1", run_table1, (1024,), 6),
         ]
         for kind, run, sizes, trials in cases:
             blobs = {}
             for workers in (1, 4):
-                config = cfg(experiment=kind, sizes=sizes, trials=trials, rho=0.2,
-                             workers=workers)
+                if kind == "table1":
+                    config = cfg(experiment=kind, n=sizes[0], trials=trials, workers=workers)
+                else:
+                    config = cfg(experiment=kind, sizes=sizes, trials=trials, rho=0.2,
+                                 workers=workers)
                 res = run(config)
-                out = tmp_path / f"{kind}_w{workers}"
+                out = tmp_path / f"{kind}{sizes[0]}_w{workers}"
                 out.mkdir()
+                records = {sizes[0]: res.records} if kind == "table1" else res.records
                 for n in sizes:
-                    trials_to_csv(res.records[n], out / f"n{n}.csv", config.science_dict())
+                    trials_to_csv(records[n], out / f"n{n}.csv", config.science_dict())
                 summary_to_json(res.to_dict(), out / "summary.json")
                 if kind == "sigmax":
                     ratios_to_csv(res.records, "normal", out / "ratios.csv")
                 blobs[workers] = [p.read_bytes() for p in sorted(out.iterdir())]
+                if kind == "table1":
+                    assert res.structured_fallback_count == 0
             assert len(blobs[1]) == len(sizes) + 1 + (kind == "sigmax")
             assert blobs[1] == blobs[4], kind
+
+    def test_table1_bytes_independent_of_blas_threads(self, tmp_path):
+        # the structured kernel's BLAS calls act on n x 2 blocks only, which
+        # OpenBLAS does not thread; the LU fallback's bytes follow the thread count
+        src = str(Path(circulab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for kind in ("normal", "rademacher"):
+            blobs = {}
+            for threads in ("1", "2"):
+                out = tmp_path / f"{kind}_t{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+                subprocess.run(
+                    [sys.executable, "-m", "circulab.cli", "--out", str(out), "experiment", "table1",
+                     "--dist", kind, "--two-n", "1024", "--trials", "6", "--seed", "11"],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+                blobs[threads] = (out / f"table1_{kind}_trials.csv").read_bytes()
+            assert blobs["1"] == blobs["2"], kind
+            assert b"structured-fallback" not in blobs["1"]
 
     def test_rerun_identical(self, tmp_path):
         blobs = []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from circulab import spectral
+from circulab.experiments import DISTRIBUTION_KINDS, Distribution, trial_stream
 from circulab.matrices import (
     CirculantSpec,
     CoefficientSequence,
@@ -12,13 +14,19 @@ from circulab.matrices import (
 )
 from circulab.spectral import (
     ConvergenceError,
+    SigmaMinResult,
     SingularEmbeddingError,
+    _GohbergSemencul,
+    _inverse_circulant_row,
+    _schur_from_eigenvalues,
+    _schur_matvec,
     build_schur_block,
     cauchy_interlacing_check,
     circulant_eigenvalues,
     circulant_extremes,
     dense_svd,
     schur_block_oracle,
+    schur_sigma_min,
     sigma_min_fast,
     singular_values_to_csv,
     spectrum_to_csv,
@@ -242,7 +250,14 @@ class TestSigmaMinFast:
         a = rng.standard_normal((12, 12))
         res = sigma_min_fast(a, max_iter=1, tol=1e-16)
         assert res.used_fallback
+        assert res.iterations == 1 and res.residual > 1e-16
         assert res.value == pytest.approx(dense_svd(a)[-1], rel=1e-10)
+
+    def test_telemetry_certifies_the_value(self):
+        a = np.random.default_rng(9).standard_normal((40, 40))
+        res = sigma_min_fast(a)
+        assert 1 <= res.iterations < 500
+        assert 0.0 <= res.residual <= 1e-10
 
 
 class TestSchurBlock:
@@ -321,6 +336,118 @@ class TestSchurBlock:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             build_schur_block(circ([1.0, 2.0, 3.0]))
+
+
+def _table1_spectrum(kind, master_seed, two_n, t):
+    gen, _ = trial_stream(master_seed, two_n, t)
+    return circulant_eigenvalues(circ(Distribution(kind).sample(gen, two_n)))
+
+
+class TestStructuredSchurKernel:
+    @staticmethod
+    def gohberg_semencul(c, r):
+        # an n x n Toeplitz matrix is the leading block of the 2n circulant with
+        # first row (r_0..r_{n-1}, 0, c_{n-1}..c_1); its spectrum is 2n * ifft(row)
+        row = np.concatenate([r, [0.0], c[:0:-1]])
+        return _GohbergSemencul(np.fft.ifft(row) * row.size, row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
+    def test_gohberg_semencul_inverse_against_dense(self, n):
+        rng = np.random.default_rng(500 + n)
+        c, r = rng.standard_normal(n), rng.standard_normal(n)
+        r[0] = c[0]
+        t = np.array([[c[i - j] if i >= j else r[j - i] for j in range(n)] for i in range(n)])
+        gs = self.gohberg_semencul(c, r)
+        assert gs.ok
+        inv = np.linalg.inv(t)
+        scale = np.abs(inv).max()
+        assert np.abs(gs.solve(np.eye(n)) - inv).max() <= 1e-11 * scale
+        assert np.abs(gs.solve(np.eye(n), trans=True) - inv.T).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("kind", DISTRIBUTION_KINDS)
+    @pytest.mark.parametrize("two_n", [2, 16, 130])
+    def test_fft_matvec_matches_gathered_block(self, kind, two_n):
+        rng = np.random.default_rng(two_n)
+        v = rng.standard_normal((two_n // 2, 3))
+        for t in range(8):
+            lam = _table1_spectrum(kind, 31, two_n, t)
+            try:
+                weights, _ = _inverse_circulant_row(lam, None)
+            except SingularEmbeddingError:
+                continue
+            s = _schur_from_eigenvalues(lam).matrix
+            for trans, want in ((False, s @ v), (True, s.T @ v)):
+                got = _schur_matvec(weights, v, trans=trans)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(s).sum(axis=1).max()
+
+    @pytest.mark.parametrize("two_n,trials", [(4, 25), (8, 25), (16, 25), (64, 10), (256, 4), (2048, 2)])
+    def test_agrees_with_lu_path(self, two_n, trials):
+        worst = 0.0
+        for d, kind in enumerate(DISTRIBUTION_KINDS):
+            for t in range(trials):
+                lam = _table1_spectrum(kind, 2024 + d, two_n, t)
+                try:
+                    res = schur_sigma_min(lam)
+                except SingularEmbeddingError:
+                    continue
+                lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix)
+                if res.structured_fallback:
+                    assert res == SigmaMinResult(**{**vars(lu), "structured_fallback": True})
+                else:
+                    assert 1 <= res.iterations < 500 and res.residual <= 1e-10
+                    worst = max(worst, abs(res.value - lu.value) / lu.value)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("kind,master_seed,t", [("uniform", 103, 22), ("normal", 104, 49)])
+    def test_ill_conditioned_tail_draw(self, kind, master_seed, t):
+        # criterion-1 draws with kappa(S) ~ 4e5 and 3e6: the formula alone misses
+        # the LU value by 2e-10 and 1e-10, the refined solves by 1e-11 and 2e-11
+        lam = _table1_spectrum(kind, master_seed, 2048, t)
+        res = schur_sigma_min(lam)
+        lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix)
+        assert not res.structured_fallback
+        assert res.value == pytest.approx(lu.value, rel=5e-11, abs=0.0)
+
+    def test_guard_is_what_catches_levinson_garbage(self, monkeypatch):
+        # at 2n = 8 and 16 Levinson on the block of a discrete draw can return
+        # without an error and still be wrong; with the guard switched off the
+        # structured value then misses the LU value by orders of magnitude
+        def worst_gap():
+            worst = 0.0
+            for kind in ("rademacher", "bernoulli"):
+                for two_n in (8, 16):
+                    for t in range(40):
+                        lam = _table1_spectrum(kind, 5, two_n, t)
+                        try:
+                            res = schur_sigma_min(lam)
+                        except SingularEmbeddingError:
+                            continue
+                        lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix).value
+                        if lu > 0.0:  # an exactly zero LU pivot has no relative gap
+                            worst = max(worst, abs(res.value - lu) / lu)
+            return worst
+
+        assert worst_gap() <= 1e-10
+        monkeypatch.setattr(spectral, "_GS_BACKWARD_TOL", np.inf)
+        monkeypatch.setattr(spectral, "_GS_SINGULAR_RATIO", 0.0)
+        assert worst_gap() > 1e-2
+
+    def test_odd_or_tiny_spectrum_rejected(self):
+        with pytest.raises(ValueError):
+            schur_sigma_min(np.ones(3, dtype=complex))
+        with pytest.raises(ValueError):
+            schur_sigma_min(np.ones(1, dtype=complex))
+
+    def test_singular_embedding_error_like_build_schur_block(self):
+        with pytest.raises(SingularEmbeddingError) as exc_info:
+            schur_sigma_min(circulant_eigenvalues(circ([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])))
+        assert exc_info.value.index == 3
+
+    def test_n1_closed_form(self):
+        a, b = 3.0, 1.0
+        res = schur_sigma_min(circulant_eigenvalues(circ([a, b])))
+        assert not res.structured_fallback
+        assert res.value == pytest.approx(a / (a * a - b * b), rel=1e-12)
 
 
 class TestInterlacing:
