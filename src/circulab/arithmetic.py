@@ -11,7 +11,10 @@ satisfies the defining inequality strictly.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -379,15 +382,29 @@ def sweep_cosine_half(n: int, k_values, r_values) -> list[dict]:
     return rows
 
 
-def lemma_rows_to_csv(rows: list[dict], path) -> None:
-    """Write sweep rows as ``case_id,params...,applicable,margin`` CSV."""
-    if not rows:
+def lemma_rows_to_csv(rows: Iterable[dict], path) -> tuple[int, int, int]:
+    """Write sweep rows as ``case_id,params...,applicable,margin`` CSV.
+
+    Rows are written as they arrive, so a generator sweep is never held in
+    memory.  Returns ``(cases, applicable, violations)``.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("no rows to write")
-    fields = list(rows[0].keys())
+    fields = list(first.keys())
+    values = operator.itemgetter(*fields)  # a tuple: rows carry applicable and holds
+    cases = applicable = violations = 0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(fields)
-        w.writerows([row[f] for f in fields] for row in rows)
+        for row in itertools.chain((first,), rows):
+            w.writerow(values(row))
+            cases += 1
+            if row["applicable"]:
+                applicable += 1
+                violations += row["holds"] is False
+    return cases, applicable, violations
 
 
 def _factorize(m: int) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -125,7 +126,9 @@ def build_parser() -> _Parser:
     ex.add_argument("--symmetric", action="store_true", default=None)
     ex.add_argument("--xi-star", dest="xi_star",
                     help="'random' (default) or 'fixed:<value>'")
-    ex.add_argument("--oversampling", type=int)
+    ex.add_argument("--oversampling", type=int,
+                    help="sigmax grid factor K > 4 for the certified sup-norm bracket "
+                         "(default 64); 0 skips the bracket and fits sigma_max/sqrt(n log n)")
     ex.add_argument("--workers", type=int)
     ex.add_argument("--resample-singular", action="store_true", default=None,
                     dest="resample_singular")
@@ -273,24 +276,25 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
             })
             made += 1
     else:  # gcd-census
-        rows = []
-        for m in range(1, args.max_m + 1):
-            for y in (1.0, 2.0, float(np.sqrt(m)), float(m)):
-                census = arithmetic.gcd_census(m, max(y, 1.0))
-                rows.append({
-                    "case_id": f"census-M{m}-y{y:g}", "M": m, "y": y,
-                    "applicable": True,
-                    "holds": census.exact_count == census.totient_sum,
-                    "margin": census.exact_count - census.totient_sum,
-                })
-    applicable = [r for r in rows if r["applicable"]]
-    violations = [r for r in applicable if r["holds"] is False]
-    arithmetic.lemma_rows_to_csv(rows, out / f"lemma_{args.lemma}.csv")
-    print(
-        f"{args.lemma}: {len(rows)} cases, {len(applicable)} applicable, "
-        f"{len(violations)} violations -> {out / f'lemma_{args.lemma}.csv'}"
-    )
+        rows = _census_rows(args.max_m)
+    path = out / f"lemma_{args.lemma}.csv"
+    cases, applicable, violations = arithmetic.lemma_rows_to_csv(rows, path)
+    print(f"{args.lemma}: {cases} cases, {applicable} applicable, "
+          f"{violations} violations -> {path}")
     return EXIT_VIOLATION if violations else EXIT_OK
+
+
+def _census_rows(max_m: int):
+    """gcd-census rows for M = 1..max_m at four thresholds each, one at a time."""
+    for m in range(1, max_m + 1):
+        for y in (1.0, 2.0, math.sqrt(m), float(m)):
+            census = arithmetic.gcd_census(m, max(y, 1.0))
+            yield {
+                "case_id": f"census-M{m}-y{y:g}", "M": m, "y": y,
+                "applicable": True,
+                "holds": census.exact_count == census.totient_sum,
+                "margin": census.exact_count - census.totient_sum,
+            }
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:

@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ValueError("sigma-min tail experiment needs rho in (0, 1/4)")
         if self.xi_star_mode not in ("random", "fixed"):
             raise ValueError("xi_star_mode must be 'random' or 'fixed'")
+        if self.oversampling != 0 and self.oversampling <= 4:
+            raise ValueError("oversampling must be 0 (no sup-norm bracket) or exceed 4")
 
     def science_dict(self) -> dict:
         """Config echo: everything that determines the results, nothing that doesn't."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,23 +72,44 @@ class MaxModulusBracket:
             raise ValueError("bracket must satisfy 0 <= lower <= upper")
 
 
+@lru_cache(maxsize=4)
+def _twiddles(n: int, k: int) -> np.ndarray:
+    """Read-only rows tw[r, t] = exp(-2 pi i r t / (K n)) for r = 0..floor(K/2).
+
+    The exponent is formed from the exact integer r t, which is at most
+    (K/2)(n - 1) < K n and so needs no reduction mod K n.
+    """
+    r = np.arange(k // 2 + 1)[:, None]
+    t = np.arange(n)
+    tw = np.exp(-2j * math.pi * (r * t) / (k * n))
+    tw.setflags(write=False)
+    return tw
+
+
 def max_modulus(p: TrigPolynomial, oversampling: int = 64) -> MaxModulusBracket:
     """Bracket max |W| from a K n point grid; requires oversampling K > 4.
 
-    The coefficients are real, so W(2 pi (m - k) / m) = conj W(2 pi k / m)
-    and the grid maximum is attained on k = 0..floor(m/2).  Those values
-    are the conjugates of a real half-spectrum FFT, so ``witness_x`` lies
-    in [0, pi].
+    The grid is split by decimation in frequency: point q = a K + r
+    (0 <= a < n, 0 <= r < K) has W(2 pi q / (K n)) equal to the conjugate of
+    ``fft_n(xi_t exp(-2 pi i r t / (K n)))[a]``, so no zero-padded K n point
+    transform is formed.  The coefficients are real, so q and K n - q have
+    the same modulus and row K - r mirrors row r; rows r = 0..floor(K/2)
+    therefore hold the whole grid maximum.  ``witness_x`` is the mirror
+    representative 2 pi min(q, K n - q) / (K n), which lies in [0, pi].
     """
     k = int(oversampling)
     if k <= 4:
         raise ValueError("oversampling must exceed 4 for a finite bracket")
-    m = k * p.n
-    mags = np.abs(np.fft.rfft(p.coeffs.values, n=m))
-    arg = int(np.argmax(mags))
-    lower = float(mags[arg])
+    n = p.n
+    block = _twiddles(n, k) * p.coeffs.values
+    np.fft.fft(block, axis=1, out=block)
+    mags = np.abs(block)
+    r, a = divmod(int(np.argmax(mags)), n)
+    lower = float(mags[r, a])
     upper = lower / (1.0 - math.pi / k)
-    return MaxModulusBracket(lower, upper, k, 2.0 * math.pi * arg / m)
+    m = k * n
+    q = a * k + r
+    return MaxModulusBracket(lower, upper, k, 2.0 * math.pi * min(q, m - q) / m)
 
 
 def salem_zygmund_ratio(bracket: MaxModulusBracket, n: int) -> tuple[float, float]:

@@ -234,9 +234,23 @@ class TestCosineDistanceHalf:
     def test_rows_export(self, tmp_path):
         rows = sweep_cosine_half(600, range(1, 4), [1.0])
         path = tmp_path / "sweep.csv"
-        lemma_rows_to_csv(rows, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "case_id,n,k,r,applicable,holds,margin"
+        counts = lemma_rows_to_csv(iter(rows), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "case_id,n,k,r,applicable,holds,margin"
+        assert len(lines) == len(rows) + 1
+        applicable = [r for r in rows if r["applicable"]]
+        assert counts == (len(rows), len(applicable),
+                          sum(r["holds"] is False for r in applicable))
+
+    def test_rows_export_counts_violations(self, tmp_path):
+        rows = [{"case_id": c, "applicable": a, "holds": h, "margin": 0}
+                for c, a, h in [("x", True, True), ("y", True, False), ("z", False, None)]]
+        assert lemma_rows_to_csv(iter(rows), tmp_path / "v.csv") == (3, 2, 1)
+
+    def test_rows_export_rejects_empty(self, tmp_path):
+        with pytest.raises(ValueError):
+            lemma_rows_to_csv(iter(()), tmp_path / "empty.csv")
+        assert not (tmp_path / "empty.csv").exists()
 
 
 class TestGcdCensus:

@@ -197,6 +197,14 @@ class TestExperimentCommand:
                    "--sizes", "16", "--trials", "5", "--seed", "1", "--rho", "0.4")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("k", ["4", "-3"])
+    def test_oversampling_without_bracket_usage_error(self, tmp_path, capsys, k):
+        code = run(tmp_path, "experiment", "sigmax", "--dist", "normal",
+                   "--sizes", "16", "--trials", "5", "--seed", "1", "--oversampling", k)
+        assert code == EXIT_USAGE
+        assert "oversampling" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_no_command_prints_help(self, capsys):
         assert dispatch([]) == EXIT_USAGE
         assert "usage" in capsys.readouterr().out.lower()

@@ -338,6 +338,12 @@ class TestSigmaMaxTail:
             assert rec.sigma_max == pytest.approx(3.0 * 8)  # constant row => lambda_0 = 3n
         # constant rows are singular embeddings elsewhere, but sigmax only samples
 
+    @pytest.mark.parametrize("k", [-1, 1, 4])
+    def test_oversampling_without_bracket_rejected(self, k):
+        # 0 is the explicit no-bracket mode; 1..4 and negatives used to drop it silently
+        with pytest.raises(ValueError, match="oversampling"):
+            cfg(experiment="sigmax", sizes=(8,), oversampling=k)
+
     def test_toeplitz_dominated_by_embedding(self):
         # sigma_max(T_n) <= sigma_max(C_2n) on every trial (via the suite)
         config = cfg(experiment="interlace", sizes=(8,), trials=10)

@@ -7,6 +7,7 @@ from circulab.matrices import CirculantSpec, CoefficientSequence
 from circulab.polynomials import (
     MaxModulusBracket,
     TrigPolynomial,
+    _twiddles,
     evaluate_on_grid,
     max_modulus,
     salem_zygmund_ratio,
@@ -139,6 +140,44 @@ class TestHalfSpectrumGrid:
         assert b.lower == pytest.approx(full, rel=1e-12)
         assert 0.0 <= b.witness_x <= math.pi
         assert self.direct_sum(row, b.witness_x) == pytest.approx(b.lower, rel=1e-12)
+
+
+class TestPrunedGrid:
+    """Rows r = 0..floor(K/2) of the decimated K n grid against the padded full grid."""
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9, 64, 65])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_matches_full_grid(self, k, n):
+        rng = np.random.default_rng(1000 * k + n)
+        vals = rng.standard_normal(n)
+        b = max_modulus(poly(vals), k)
+        full = float(np.abs(evaluate_on_grid(poly(vals), k * n)).max())
+        assert abs(b.lower - full) <= 1e-14 * full
+        assert 0.0 <= b.witness_x <= math.pi
+        assert TestHalfSpectrumGrid.direct_sum(vals, b.witness_x) == pytest.approx(
+            b.lower, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [6, 8, 64])
+    def test_maximum_on_self_mirrored_row(self, k):
+        # |W|^2 = 19 + 12 cos x - 6 cos 2x peaks only at x = pi/3 = pi/n, grid
+        # point q = K/2, which lies on row r = K/2 and is its own mirror row
+        b = max_modulus(poly([1.0, -3.0, -3.0]), k)
+        assert abs(b.lower - math.sqrt(28.0)) <= 1e-14 * math.sqrt(28.0)
+        assert b.witness_x == pytest.approx(math.pi / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("k, n", [(6, 2), (64, 16), (8, 3), (64, 17), (5, 4)])
+    def test_alternating_peaks_at_pi(self, k, n):
+        # W(pi) = n is the maximum, at q = K n / 2 (row K/2 when n is odd)
+        b = max_modulus(poly((-1.0) ** np.arange(n)), k)
+        assert abs(b.lower - n) <= 1e-14 * n
+        assert b.witness_x == pytest.approx(math.pi, rel=1e-15)
+
+    def test_twiddle_cache_is_read_only(self):
+        tw = _twiddles(17, 8)
+        assert tw is _twiddles(17, 8)
+        assert tw.shape == (5, 17)
+        with pytest.raises(ValueError):
+            tw[1, 1] = 0.0
 
 
 class TestSymmetricSpectrum:
