@@ -10,10 +10,12 @@ summary output; command-line flags override file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +64,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help=f"output directory (default ${ENV_OUTPUT_DIR} or cwd)")
     p.add_argument("--format", choices=["csv", "json"], default="csv",
                    help="primary output format for query subcommands")
-    p.add_argument("-v", "--verbose", action="count", default=0)
+    p.add_argument("-v", "--verbose", action="count", default=0,
+                   help="after the command, print its wall time and BLAS thread state to stderr")
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of a circulant")
@@ -129,7 +132,8 @@ def build_parser() -> _Parser:
     ex.add_argument("--oversampling", type=int,
                     help="sigmax grid factor K > 4 for the certified sup-norm bracket "
                          "(default 64); 0 skips the bracket and fits sigma_max/sqrt(n log n)")
-    ex.add_argument("--workers", type=int)
+    ex.add_argument("--workers", type=int,
+                    help="trial threads, at least 1 (default 1); BLAS runs on one thread")
     ex.add_argument("--resample-singular", action="store_true", default=None,
                     dest="resample_singular")
 
@@ -399,6 +403,38 @@ def _cmd_experiment(args, out: Path) -> int:
     return code
 
 
+_COMMANDS = {
+    "spectrum": _cmd_spectrum,
+    "schur": _cmd_schur,
+    "maxmod": _cmd_maxmod,
+    "lcd": _cmd_lcd,
+    "verify-lemmas": _cmd_verify_lemmas,
+    "experiment": _cmd_experiment,
+}
+
+
+def _run_command(args, out: Path) -> int:
+    try:
+        return _COMMANDS[args.command](args, out)
+    except (ValueError, OSError) as exc:
+        print(f"circulab: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except spectral.ConvergenceError as exc:
+        print(f"circulab: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+
+
+def _blas_state(command: str) -> str:
+    """The OpenBLAS builds and the thread counts the command ran under."""
+    pinned = command == "experiment"  # every experiments.run_* pins
+    with spectral.single_blas_thread() if pinned else contextlib.nullcontext():
+        counts = spectral.blas_thread_counts()
+    if not counts:
+        return "BLAS unpinned, no OpenBLAS build found"
+    builds = ", ".join(f"{name} {n} thread{'s' * (n != 1)}" for name, n in counts)
+    return f"BLAS {'pinned' if pinned else 'unpinned'}: {builds}"
+
+
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -406,26 +442,12 @@ def dispatch(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     out = _output_dir(args)
-    try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args, out)
-        if args.command == "schur":
-            return _cmd_schur(args, out)
-        if args.command == "maxmod":
-            return _cmd_maxmod(args, out)
-        if args.command == "lcd":
-            return _cmd_lcd(args, out)
-        if args.command == "verify-lemmas":
-            return _cmd_verify_lemmas(args, out)
-        if args.command == "experiment":
-            return _cmd_experiment(args, out)
-    except (ValueError, OSError) as exc:
-        print(f"circulab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except spectral.ConvergenceError as exc:
-        print(f"circulab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_USAGE
+    start = time.perf_counter()
+    code = _run_command(args, out)
+    if args.verbose:
+        print(f"circulab: {args.command} took {time.perf_counter() - start:.3f} s, "
+              f"{_blas_state(args.command)}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -3,8 +3,11 @@
 Every trial is a pure function of (master_seed, dimension, trial_index): the
 per-trial stream is a counter-based Philox generator keyed through
 SeedSequence spawn keys, so records are bit-identical for any worker count
-and trials can be replayed individually.  Gaussian draws use the inverse CDF
-on 53-bit uniforms in (0, 1); there is no rejection state.
+and trials can be replayed individually.  Every ``run_*`` function runs
+under :func:`spectral.single_blas_thread`, so LAPACK-backed records do not
+depend on the BLAS thread count either, and ``workers`` threads are the
+only parallelism.  Gaussian draws use the inverse CDF on 53-bit uniforms in
+(0, 1); there is no rejection state.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .spectral import (
     circulant_eigenvalues,
     circulant_extremes,
     schur_sigma_min,
+    single_blas_thread,
     verify_interlacing,
 )
 
@@ -137,6 +141,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if self.experiment == "sigmin" and not self.symmetric and not 0.0 < self.rho < 0.25:
             raise ValueError("sigma-min tail experiment needs rho in (0, 1/4)")
         if self.xi_star_mode not in ("random", "fixed"):
@@ -318,7 +324,7 @@ class TailEstimate:
 
 
 def _map_trials(fn: Callable[[int], object], count: int, workers: int) -> list:
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, range(count)))
     return [fn(t) for t in range(count)]
@@ -349,6 +355,7 @@ class Table1Result:
         }
 
 
+@single_blas_thread()
 def run_table1(config: ExperimentConfig) -> Table1Result:
     """Monte Carlo for sigma_min of the Schur block S_n at dimension 2n = config.n.
 
@@ -357,13 +364,11 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
     forms S_n: Levinson and Gohberg-Semencul solves on the Toeplitz block,
     FFT products only, with a backward-error guard.  A trial whose guard
     fails is answered by the LU path on the gathered block and flagged
-    ``structured-fallback``; LAPACK makes those values depend on the BLAS
-    thread count, while the structured values do not.  The tabulated
-    statistic is reported in the non-unitary DFT normalization, i.e.
-    2n * sigma_min(S_n) for S_n the trailing block of C_2n^{-1} (the two
-    conventions differ by exactly the factor 2n).  Singular embeddings are
-    flagged and excluded from the summary rather than resampled, unless
-    resampling is requested.
+    ``structured-fallback``.  The tabulated statistic is reported in the
+    non-unitary DFT normalization, i.e. 2n * sigma_min(S_n) for S_n the
+    trailing block of C_2n^{-1} (the two conventions differ by exactly the
+    factor 2n).  Singular embeddings are flagged and excluded from the
+    summary rather than resampled, unless resampling is requested.
     """
     big_n = config.n
     if big_n < 2 or big_n % 2 != 0:
@@ -442,6 +447,7 @@ def _draw_circulant(config: ExperimentConfig, gen: np.random.Generator, n: int) 
     return CirculantSpec(n, CoefficientSequence(config.distribution.sample(gen, n)))
 
 
+@single_blas_thread()
 def run_sigma_max_tail(config: ExperimentConfig) -> SigmaMaxResult:
     """Distribution of sigma_max(C_n)/sqrt(n log n) plus sup-norm brackets.
 
@@ -512,6 +518,7 @@ class SigmaMinTailResult:
         }
 
 
+@single_blas_thread()
 def run_sigma_min_tail(config: ExperimentConfig) -> SigmaMinTailResult:
     """Empirical P(sigma_min(C_n) <= eps n^-rho) over an epsilon grid.
 
@@ -573,6 +580,7 @@ class ConditionNumberResult:
         }
 
 
+@single_blas_thread()
 def run_condition_number(config: ExperimentConfig) -> ConditionNumberResult:
     """Distribution of kappa(C_n) normalized by n^(rho+1/2) sqrt(log n).
 
@@ -648,6 +656,7 @@ def _draw_toeplitz(config: ExperimentConfig, gen: np.random.Generator, n: int):
     return spec, xi_star
 
 
+@single_blas_thread()
 def run_rectangular(config: ExperimentConfig) -> RectangularResult:
     """Condition number of the 2n x n stack A = [T; B] from the embedding.
 
@@ -721,6 +730,7 @@ class InterlacingSuiteResult:
         }
 
 
+@single_blas_thread()
 def run_interlacing_suite(config: ExperimentConfig, cauchy_trials: int = 8) -> InterlacingSuiteResult:
     """Batch the embedding inequalities over random Toeplitz draws.
 

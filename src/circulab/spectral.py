@@ -4,12 +4,20 @@ Eigenvalue vectors are complex arrays in DFT order (index k matters and is
 never sorted); singular value vectors are real arrays sorted descending.  The
 dense matrices (T_n, C_2n and the Schur block S_n) are real ``float64``, and
 the dense routines accept real input only.
+
+Experiment runs enter :func:`single_blas_thread`, so their LAPACK results do
+not depend on the BLAS thread count and worker threads are the only source
+of parallelism.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -29,6 +37,8 @@ from .matrices import (
 __all__ = [
     "SingularEmbeddingError",
     "ConvergenceError",
+    "single_blas_thread",
+    "blas_thread_counts",
     "ConditionReport",
     "SchurBlock",
     "SigmaMinResult",
@@ -60,6 +70,67 @@ class SingularEmbeddingError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative routine exhausts its sweep/iteration budget."""
+
+
+_PROC_MAPS = "/proc/self/maps"
+# thread getter/setter names of numpy's 64-bit-integer build and scipy's build
+_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads")
+
+
+class _BlasBuild(NamedTuple):
+    name: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+@functools.cache
+def _openblas_builds() -> tuple[_BlasBuild, ...]:
+    """The OpenBLAS builds mapped into this process, found once from its memory map."""
+    try:
+        with open(_PROC_MAPS) as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return ()
+    builds = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for pattern in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = (getattr(lib, pattern.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                builds.append(_BlasBuild(os.path.basename(path).split("-")[0], get, put))
+                break
+    return tuple(builds)
+
+
+def blas_thread_counts() -> tuple[tuple[str, int], ...]:
+    """(library name, current thread count) for each OpenBLAS build found; empty if none."""
+    return tuple((b.name, b.get_threads()) for b in _openblas_builds())
+
+
+@contextmanager
+def single_blas_thread():
+    """Run the block with every OpenBLAS build on one thread; the old counts return on exit.
+
+    The builds (numpy's and scipy's, which keep separate thread pools) are
+    found on first use through ``/proc/self/maps`` and cached.  Thread counts
+    are process-wide, so worker threads started inside the block run their
+    BLAS calls single-threaded too.  Where no build is found (another BLAS,
+    or no ``/proc``) the block runs unpinned and nothing is raised.
+    """
+    builds = _openblas_builds()
+    old = [b.get_threads() for b in builds]
+    for b in builds:
+        b.set_threads(1)
+    try:
+        yield
+    finally:
+        for b, count in zip(builds, old):
+            b.set_threads(count)
 
 
 def default_singular_tolerance(eigenvalues: np.ndarray) -> float:

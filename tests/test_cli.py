@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from circulab import spectral
 from circulab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
 
 
@@ -204,6 +206,36 @@ class TestExperimentCommand:
         assert code == EXIT_USAGE
         assert "oversampling" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("w", ["0", "-1"])
+    def test_workers_below_one_usage_error(self, tmp_path, capsys, w):
+        code = run(tmp_path, "experiment", "sigmin", "--dist", "normal",
+                   "--sizes", "16", "--trials", "5", "--seed", "1", "--workers", w)
+        assert code == EXIT_USAGE
+        assert "workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_verbose_reports_time_and_blas_state(self, tmp_path, capsys):
+        argv = ["experiment", "interlace", "--dist", "normal", "--sizes", "8,16",
+                "--trials", "4", "--seed", "2"]
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert dispatch(["--out", str(quiet), *argv]) == EXIT_OK
+        plain = capsys.readouterr()
+        assert dispatch(["-v", "--out", str(loud), *argv]) == EXIT_OK
+        verbose = capsys.readouterr()
+        assert verbose.out == plain.out
+        assert plain.err == ""
+        line, = verbose.err.splitlines()
+        assert re.fullmatch(r"circulab: experiment took \d+\.\d{3} s, BLAS (pinned: .+ 1 thread"
+                            r"|unpinned, no OpenBLAS build found)", line)
+        for f in quiet.iterdir():
+            assert (loud / f.name).read_bytes() == f.read_bytes()
+        assert len(list(loud.iterdir())) == 3
+
+    def test_verbose_without_openblas(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "_openblas_builds", lambda: ())
+        assert dispatch(["-v", "--out", str(tmp_path), "spectrum", "--row", "1,0"]) == EXIT_OK
+        assert capsys.readouterr().err.endswith(", BLAS unpinned, no OpenBLAS build found\n")
 
     def test_no_command_prints_help(self, capsys):
         assert dispatch([]) == EXIT_USAGE

@@ -278,24 +278,40 @@ class TestDeterminism:
             assert len(blobs[1]) == len(sizes) + 1 + (kind == "sigmax")
             assert blobs[1] == blobs[4], kind
 
-    def test_table1_bytes_independent_of_blas_threads(self, tmp_path):
-        # the structured kernel's BLAS calls act on n x 2 blocks only, which
-        # OpenBLAS does not thread; the LU fallback's bytes follow the thread count
+    @staticmethod
+    def _cli_outputs(out, threads, *argv):
+        """Every output file of one CLI run in a subprocess under OPENBLAS_NUM_THREADS=threads."""
         src = str(Path(circulab.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "circulab.cli", "--out", str(out), *argv],
+                       env=env, check=True, capture_output=True, timeout=300)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_table1_bytes_independent_of_blas_threads(self, tmp_path):
+        # runs pin OpenBLAS to one thread, so the LU fallback does not follow
+        # the thread count either; these draws stay on the structured kernel
         for kind in ("normal", "rademacher"):
-            blobs = {}
-            for threads in ("1", "2"):
-                out = tmp_path / f"{kind}_t{threads}"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-                subprocess.run(
-                    [sys.executable, "-m", "circulab.cli", "--out", str(out), "experiment", "table1",
-                     "--dist", kind, "--two-n", "1024", "--trials", "6", "--seed", "11"],
-                    env=env, check=True, capture_output=True, timeout=300,
-                )
-                blobs[threads] = (out / f"table1_{kind}_trials.csv").read_bytes()
+            blobs = {
+                threads: self._cli_outputs(
+                    tmp_path / f"{kind}_t{threads}", threads, "experiment", "table1",
+                    "--dist", kind, "--two-n", "1024", "--trials", "6", "--seed", "11")
+                for threads in ("1", "2")
+            }
             assert blobs["1"] == blobs["2"], kind
-            assert b"structured-fallback" not in blobs["1"]
+            assert b"structured-fallback" not in blobs["1"][f"table1_{kind}_trials.csv"]
+
+    @pytest.mark.parametrize("kind,dist", [("rect", "normal"), ("interlace", "rademacher")])
+    def test_lapack_bytes_independent_of_blas_threads(self, tmp_path, kind, dist):
+        # dgejsv on 512-column matrices threads unless the run pins OpenBLAS
+        blobs = {
+            threads: self._cli_outputs(
+                tmp_path / f"t{threads}", threads, "experiment", kind, "--dist", dist,
+                "--sizes", "512", "--trials", "2", "--seed", "3")
+            for threads in ("1", "2")
+        }
+        assert sorted(blobs["1"]) == sorted([f"{kind}_{dist}_n512_trials.csv", f"{kind}_{dist}_summary.json"])
+        assert blobs["1"] == blobs["2"]
 
     def test_rerun_identical(self, tmp_path):
         blobs = []

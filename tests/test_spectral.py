@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy
 
 from circulab import spectral
-from circulab.experiments import DISTRIBUTION_KINDS, Distribution, trial_stream
+from circulab.experiments import (
+    DISTRIBUTION_KINDS,
+    Distribution,
+    ExperimentConfig,
+    run_rectangular,
+    trial_stream,
+)
 from circulab.matrices import (
     CirculantSpec,
     CoefficientSequence,
@@ -535,3 +542,104 @@ class TestCsvExports:
         path = tmp_path / "sv.csv"
         singular_values_to_csv(np.array([2.0, 1.0]), path)
         assert path.read_text().strip().splitlines() == ["i,sigma", "1,2.0", "2,1.0"]
+
+
+def _linked_openblas_builds() -> set[str]:
+    """Library names of the scipy-openblas builds that numpy and scipy report linking."""
+    names = set()
+    for mod in (np, scipy):
+        blas = mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") == "scipy-openblas":
+            wide = "USE64BITINT" in blas.get("openblas configuration", "")
+            names.add("libscipy_openblas64_" if wide else "libscipy_openblas")
+    return names
+
+
+@pytest.fixture
+def blas_builds():
+    """The discovered builds, each set to 2 threads for the test and restored after."""
+    builds = spectral._openblas_builds()
+    if not builds:
+        pytest.skip("no OpenBLAS build loaded")
+    old = [b.get_threads() for b in builds]
+    for b in builds:
+        b.set_threads(2)
+    yield builds
+    for b, count in zip(builds, old):
+        b.set_threads(count)
+
+
+@pytest.fixture
+def fresh_blas_discovery():
+    spectral._openblas_builds.cache_clear()
+    yield
+    spectral._openblas_builds.cache_clear()
+
+
+def _rect_run():
+    config = ExperimentConfig(experiment="rect", distribution=Distribution("normal"), trials=3,
+                              master_seed=5, sizes=(8, 16))
+    return run_rectangular(config)
+
+
+class TestSingleBlasThread:
+    def test_finds_numpy_and_scipy_builds(self):
+        expected = _linked_openblas_builds()
+        if not expected:
+            pytest.skip("numpy and scipy do not link scipy-openblas")
+        assert {name for name, _ in spectral.blas_thread_counts()} == expected
+
+    def test_one_thread_inside(self, blas_builds):
+        with spectral.single_blas_thread():
+            assert [b.get_threads() for b in blas_builds] == [1] * len(blas_builds)
+
+    def test_restores_on_exit(self, blas_builds):
+        with spectral.single_blas_thread():
+            pass
+        assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
+
+    def test_restores_after_exception(self, blas_builds):
+        with pytest.raises(ZeroDivisionError):
+            with spectral.single_blas_thread():
+                1 / 0
+        assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
+
+    def test_restores_after_nested_entry(self, blas_builds):
+        with spectral.single_blas_thread():
+            with spectral.single_blas_thread():
+                pass
+            assert [b.get_threads() for b in blas_builds] == [1] * len(blas_builds)
+        assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
+
+    def test_experiment_runs_pinned(self, blas_builds, monkeypatch):
+        seen = []
+        real = spectral.dense_svd
+
+        def spy(m):
+            seen.append(tuple(b.get_threads() for b in blas_builds))
+            return real(m)
+
+        monkeypatch.setattr(spectral, "dense_svd", spy)
+        _rect_run()
+        assert seen and set(seen) == {(1,) * len(blas_builds)}
+        assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
+
+    def test_no_build_found_is_a_no_op(self, blas_builds, monkeypatch):
+        monkeypatch.setattr(spectral, "_openblas_builds", lambda: ())
+        with spectral.single_blas_thread():
+            assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
+        assert spectral.blas_thread_counts() == ()
+        assert _rect_run().violations == 0
+
+    def test_unreadable_memory_map_is_a_no_op(self, tmp_path, monkeypatch, fresh_blas_discovery):
+        monkeypatch.setattr(spectral, "_PROC_MAPS", str(tmp_path / "missing"))
+        assert spectral.blas_thread_counts() == ()
+        with spectral.single_blas_thread():
+            pass
+        assert _rect_run().violations == 0
+
+    def test_unloadable_library_is_skipped(self, tmp_path, monkeypatch, fresh_blas_discovery):
+        maps = tmp_path / "maps"
+        maps.write_text("7f00-7f01 r-xp 00000000 00:00 0 /nonexistent/libopenblas.so.0\n")
+        monkeypatch.setattr(spectral, "_PROC_MAPS", str(maps))
+        assert spectral.blas_thread_counts() == ()
