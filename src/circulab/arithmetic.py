@@ -14,7 +14,7 @@ import csv
 import itertools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +36,7 @@ __all__ = [
     "lemma_rows_to_csv",
     "GcdCensus",
     "gcd_census",
+    "gcd_census_sweep",
     "ConcentrationEstimate",
     "levy_concentration",
     "ConditionHReport",
@@ -425,8 +426,9 @@ def _factorize(m: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=4)
 def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # All divisors e of m with Euler phi(e), built multiplicatively; cached
-    # like _gcd_table because a census sweep asks for each M several times.
+    # Every co-divisor d = m/e of m with Euler phi(e), built multiplicatively
+    # over the divisors e; cached like _gcd_table because point queries ask
+    # for one M at several thresholds in a row.
     divs = [1]
     phis = [1]
     for p, e in _factorize(m):
@@ -441,10 +443,48 @@ def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
             phi_pk = pk * (p - 1)
             pk *= p
         divs, phis = new_divs, new_phis
-    divs, phis = np.asarray(divs, dtype=np.int64), np.asarray(phis, dtype=np.int64)
-    divs.setflags(write=False)
+    codivs = m // np.asarray(divs, dtype=np.int64)
+    phis = np.asarray(phis, dtype=np.int64)
+    codivs.setflags(write=False)
     phis.setflags(write=False)
-    return divs, phis
+    return codivs, phis
+
+
+def _totients(n: int) -> np.ndarray:
+    # Euler phi(e) for e = 0..n by a prime sieve, independent of _factorize.
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in np.flatnonzero(prime).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _totient_sums(phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # Row M - lo, column j: sum_{d | M, d >= y_j} phi(M/d) for lo <= M < hi at
+    # the sweep thresholds y = 1, 2, sqrt(M), M.  Each divisor pair s * t = M
+    # with s <= t gives the pairs (d, e) = (s, t) and, if s < t, (t, s); on a
+    # pair, d >= sqrt(M) is d >= e and d >= M is e == 1.  The float64 sums are
+    # exact: every partial sum is an integer <= M < 2**53.
+    s = np.arange(1, math.isqrt(hi - 1) + 1)
+    first = np.maximum(s, -(-lo // s))  # smallest t >= s with s * t >= lo
+    count = np.maximum((hi - 1) // s - first + 1, 0)
+    s = np.repeat(s, count)
+    t = np.arange(s.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    swap = s < t
+    d = np.concatenate((s, t[swap]))
+    e = np.concatenate((t, s[swap]))
+    m = d * e - lo
+    weights = phi[e]
+    sums = [np.bincount(m[keep], weights[keep], minlength=hi - lo)
+            for keep in (slice(None), d >= 2, d >= e, e == 1)]
+    return np.stack(sums, axis=1).astype(np.int64)
+
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @lru_cache(maxsize=4)
@@ -453,10 +493,10 @@ def _gcd_table(m: int) -> np.ndarray:
     # gcd(k, m) is the largest divisor d of m with d | k: mark the multiples of
     # each divisor in increasing order, so the largest one is written last.
     # Divisor 1 is the fill value and m lies past half.  The divisors come from
-    # a direct scan, independent of _factorize, so the census still checks the
-    # totient side rather than sharing its arithmetic.
+    # a direct scan, independent of _factorize and _totients, so the census
+    # still checks the totient side rather than sharing its arithmetic.
     half = (m - 1) // 2
-    dtype = np.int32 if m <= np.iinfo(np.int32).max else np.int64
+    dtype = np.int32 if m <= _INT32_MAX else np.int64
     small = [d for d in range(2, math.isqrt(m) + 1) if m % d == 0]
     table = np.ones(half, dtype=dtype)
     for d in sorted({*small, *(m // d for d in small)}):
@@ -467,6 +507,16 @@ def _gcd_table(m: int) -> np.ndarray:
     return table
 
 
+def _exact_count(m: int, t: int) -> int:
+    # Number of k in [1, m] with gcd(k, m) >= t for an integer t >= 1.  The
+    # compare stays in the table's integer dtype.
+    exact = 2 * int(np.count_nonzero(_gcd_table(m) >= t))
+    exact += m >= t  # k = m itself
+    if m % 2 == 0:
+        exact += m // 2 >= t  # k = m/2, self-paired under k <-> m-k
+    return exact
+
+
 @dataclass(frozen=True)
 class GcdCensus:
     """Count of k in [1, M] with gcd(k, M) >= y, by enumeration and by totients.
@@ -474,8 +524,10 @@ class GcdCensus:
     ``exact_count`` enumerates gcd(k, M) for every k and counts the values
     >= y; each gcd is found as the largest divisor of M that divides k, by
     marking the multiples of every divisor.  ``totient_sum`` is
-    sum_{d | M, d >= y} phi(M/d), from the factorization of M.  The two are
-    equal for every real y >= 1 because gcd only takes integer divisor values.
+    sum_{d | M, d >= y} phi(M/d), from the factorization of M in a point
+    query and from a totient sieve over all M in a sweep.  The two are equal
+    for every real y >= 1 because gcd only takes integer divisor values, which
+    is also why both sides count against the integer threshold ceil(y).
     """
 
     M: int
@@ -494,21 +546,38 @@ def gcd_census(big_m: int, y: float) -> GcdCensus:
     """Census of gcd(k, M) >= y for k in [1, M]; M >= 1, y >= 1."""
     big_m = int(big_m)
     y = float(y)
-    if big_m < 1 or y < 1:
+    if big_m < 1 or not y >= 1:
         raise ValueError("need M >= 1 and y >= 1")
-    if big_m == 1:
-        exact = 1 if 1 >= y else 0
-    else:
-        table = _gcd_table(big_m)
-        exact = 2 * int(np.count_nonzero(table >= y))
-        if big_m >= y:
-            exact += 1  # k = M itself
-        if big_m % 2 == 0 and big_m / 2 >= y:
-            exact += 1  # k = M/2, self-paired under k <-> M-k
-    divs, phis = _divisors_with_phi(big_m)  # divisors e = M/d
-    codivs = big_m // divs
-    tsum = int(phis[codivs >= y].sum())
-    return GcdCensus(big_m, y, exact, tsum)
+    t = math.ceil(y) if y <= big_m else big_m + 1  # no gcd exceeds M
+    codivs, phis = _divisors_with_phi(big_m)
+    tsum = int(phis[codivs >= t].sum())
+    return GcdCensus(big_m, y, _exact_count(big_m, t), tsum)
+
+
+_SWEEP_BLOCK = 1024  # M per block of totient sums
+
+
+def gcd_census_sweep(max_m: int) -> Iterator[GcdCensus]:
+    """Census of every M = 1..max_m at y = 1, 2, sqrt(M), M, in that order.
+
+    Each item equals ``gcd_census(M, y)``.  The totient side comes from one
+    phi sieve up to max_m and the divisor pairs of each block of M, not from
+    factorizing each M; the exact side enumerates gcd(k, M) per M as the
+    point query does.
+    """
+    max_m = operator.index(max_m)
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
+    return _sweep(max_m)
+
+
+def _sweep(max_m: int) -> Iterator[GcdCensus]:
+    phi = _totients(max_m)
+    for lo in range(1, max_m + 1, _SWEEP_BLOCK):
+        hi = min(lo + _SWEEP_BLOCK, max_m + 1)
+        for m, tsums in zip(range(lo, hi), _totient_sums(phi, lo, hi).tolist()):
+            for y, tsum in zip((1.0, 2.0, math.sqrt(m), float(m)), tsums):
+                yield GcdCensus(m, y, _exact_count(m, math.ceil(y)), tsum)
 
 
 @dataclass(frozen=True)

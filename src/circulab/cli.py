@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
@@ -289,16 +288,17 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
 
 
 def _census_rows(max_m: int):
-    """gcd-census rows for M = 1..max_m at four thresholds each, one at a time."""
-    for m in range(1, max_m + 1):
-        for y in (1.0, 2.0, math.sqrt(m), float(m)):
-            census = arithmetic.gcd_census(m, max(y, 1.0))
-            yield {
-                "case_id": f"census-M{m}-y{y:g}", "M": m, "y": y,
-                "applicable": True,
-                "holds": census.exact_count == census.totient_sum,
-                "margin": census.exact_count - census.totient_sum,
-            }
+    """gcd-census rows for M = 1..max_m at four thresholds each, from one sweep."""
+    try:
+        sweep = arithmetic.gcd_census_sweep(max_m)
+    except ValueError as exc:
+        raise ValueError(f"--max-m: {exc}") from None
+    return ({
+        "case_id": f"census-M{c.M}-y{c.y:g}", "M": c.M, "y": c.y,
+        "applicable": True,
+        "holds": c.exact_count == c.totient_sum,
+        "margin": c.exact_count - c.totient_sum,
+    } for c in sweep)
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circulab import arithmetic
+from circulab import arithmetic, cli
 from circulab.arithmetic import (
     CosineVectorSpec,
     condition_h_check,
     cosine_vector,
     dist_to_lattice,
     gcd_census,
+    gcd_census_sweep,
     lcd_matrix2,
     lcd_vector,
     lemma_rows_to_csv,
@@ -266,9 +267,10 @@ class TestGcdCensus:
             assert census.totient_sum == m
 
     def test_y_above_m_counts_nothing(self):
-        census = gcd_census(10, 10.5)
-        assert census.exact_count == 0
-        assert census.totient_sum == 0
+        for y in (10.5, 1e300, math.inf):
+            census = gcd_census(10, y)
+            assert census.exact_count == 0
+            assert census.totient_sum == 0
 
     def test_y_equal_m(self):
         census = gcd_census(10, 10)
@@ -296,6 +298,11 @@ class TestGcdCensus:
             gcd_census(0, 1)
         with pytest.raises(ValueError):
             gcd_census(5, 0.5)
+        with pytest.raises(ValueError):
+            gcd_census(5, math.nan)
+        for max_m in (0, -5):
+            with pytest.raises(ValueError, match="max_m"):
+                gcd_census_sweep(max_m)
 
     @staticmethod
     def _np_gcd_half(m):
@@ -329,6 +336,29 @@ class TestGcdCensus:
                 cached.cache_clear()
         assert census.exact_count == 44
         assert census.exact_count != census.totient_sum
+
+    def test_sweep_matches_point_queries(self):
+        want = [gcd_census(m, y) for m in range(1, 3001)
+                for y in (1.0, 2.0, math.sqrt(m), float(m))]
+        assert list(gcd_census_sweep(3000)) == want
+
+    def test_sweep_detects_sieve_fault(self, monkeypatch, tmp_path):
+        # The enumeration must not share the sweep's totient sieve: one wrong
+        # phi value has to show up as a mismatch and leave the exact counts.
+        good = list(gcd_census_sweep(60))
+        real = arithmetic._totients
+
+        def corrupt(n):
+            phi = real(n)
+            phi[7] += 1
+            return phi
+
+        monkeypatch.setattr(arithmetic, "_totients", corrupt)
+        bad = list(gcd_census_sweep(60))
+        assert [c.exact_count for c in bad] == [c.exact_count for c in good]
+        assert any(c.exact_count != c.totient_sum for c in bad)
+        argv = ["--out", str(tmp_path), "verify-lemmas", "--lemma", "gcd-census", "--max-m", "60"]
+        assert cli.dispatch(argv) == cli.EXIT_VIOLATION
 
 
 class TestLevyConcentration:

@@ -1,9 +1,11 @@
 import json
+import math
 import re
 
 import pytest
 
 from circulab import spectral
+from circulab.arithmetic import gcd_census
 from circulab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
 
 
@@ -94,8 +96,29 @@ class TestVerifyLemmas:
         assert code == EXIT_OK
 
     def test_gcd_census(self, tmp_path, capsys):
-        code = run(tmp_path, "verify-lemmas", "--lemma", "gcd-census", "--max-m", "200")
+        # the CSV equals rows built here from point queries, byte for byte
+        code = run(tmp_path, "verify-lemmas", "--lemma", "gcd-census", "--max-m", "300")
         assert code == EXIT_OK
+        lines = ["case_id,M,y,applicable,holds,margin"]
+        for m in range(1, 301):
+            for y in (1.0, 2.0, math.sqrt(m), float(m)):
+                census = gcd_census(m, y)
+                margin = census.exact_count - census.totient_sum
+                lines.append(f"census-M{m}-y{y:g},{m},{y!r},True,{margin == 0},{margin}")
+        want = "".join(line + "\r\n" for line in lines).encode()
+        assert (tmp_path / "lemma_gcd-census.csv").read_bytes() == want
+
+    def test_gcd_census_max_m_one(self, tmp_path, capsys):
+        code = run(tmp_path, "verify-lemmas", "--lemma", "gcd-census", "--max-m", "1")
+        assert code == EXIT_OK
+        assert len((tmp_path / "lemma_gcd-census.csv").read_text().splitlines()) == 1 + 4
+
+    @pytest.mark.parametrize("max_m", ["0", "-5"])
+    def test_gcd_census_rejects_max_m_below_one(self, tmp_path, capsys, max_m):
+        code = run(tmp_path, "verify-lemmas", "--lemma", "gcd-census", "--max-m", max_m)
+        assert code == EXIT_USAGE
+        assert "--max-m" in capsys.readouterr().err
+        assert not (tmp_path / "lemma_gcd-census.csv").exists()
 
 
 class TestExperimentCommand:
