@@ -357,7 +357,7 @@ def _cmd_experiment(args, out: Path) -> int:
     code = EXIT_OK
     if args.kind == "table1":
         res = experiments.run_table1(config)
-        experiments.trials_to_csv(res.records, out / f"table1_{dist}_trials.csv", echo)
+        experiments.trials_to_csv(res.records[config.n], out / f"table1_{dist}_trials.csv", echo)
         experiments.summary_to_json(res.to_dict(), out / f"table1_{dist}_summary.json")
         mean = res.summary.mean if res.summary else float("nan")
         print(f"table1 {dist} 2n={config.n}: mean sigmin_S={mean:.6f} "

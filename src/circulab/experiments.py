@@ -1,22 +1,26 @@
 """Seeded, reproducible Monte Carlo experiments over the four benchmark laws.
 
-Every trial is a pure function of (master_seed, dimension, trial_index): the
-per-trial stream is a counter-based Philox generator keyed through
-SeedSequence spawn keys, so records are bit-identical for any worker count
-and trials can be replayed individually.  Every ``run_*`` function runs
-under :func:`spectral.single_blas_thread`, so LAPACK-backed records do not
-depend on the BLAS thread count either, and ``workers`` threads are the
-only parallelism.  Gaussian draws use the inverse CDF on 53-bit uniforms in
-(0, 1); there is no rejection state.
+Every experiment is a per-trial kernel, one shared runner and a reducer.  The
+kernel measures one draw.  The runner checks the sizes, keys trial t at
+dimension n to a counter-based Philox stream (``trial_stream(master_seed, n,
+t)``), redraws singular draws when asked, and fans trials out over
+``workers`` threads under :func:`spectral.single_blas_thread`; records are
+therefore bit-identical for any worker and BLAS thread count and can be
+replayed one by one.  The reducer turns the records into the summary fields
+of one :class:`ExperimentResult`.  Gaussian draws use the inverse CDF on
+53-bit uniforms in (0, 1); there is no rejection state.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +31,9 @@ from .matrices import (
     CoefficientSequence,
     SymmetricCirculantSpec,
     ToeplitzSpec,
+    embed_toeplitz,
     expand_symmetric_circulant,
+    materialize_circulant,
 )
 from .polynomials import TrigPolynomial, max_modulus, salem_zygmund_ratio
 from .spectral import (
@@ -35,6 +41,7 @@ from .spectral import (
     cauchy_interlacing_check,
     circulant_eigenvalues,
     circulant_extremes,
+    dense_svd,
     schur_sigma_min,
     single_blas_thread,
     verify_interlacing,
@@ -48,6 +55,7 @@ __all__ = [
     "SummaryStats",
     "TailPoint",
     "TailEstimate",
+    "ExperimentResult",
     "trial_stream",
     "wilson_interval",
     "summarize",
@@ -136,7 +144,6 @@ class ExperimentConfig:
     oversampling: int = 64
     resample_singular: bool = False
     workers: int = 1
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -152,22 +159,9 @@ class ExperimentConfig:
 
     def science_dict(self) -> dict:
         """Config echo: everything that determines the results, nothing that doesn't."""
-        d = {
-            "experiment": self.experiment,
-            "distribution": self.distribution.to_dict(),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "n": self.n,
-            "sizes": list(self.sizes),
-            "epsilon": self.epsilon,
-            "epsilons": list(self.epsilons),
-            "rho": self.rho,
-            "symmetric": self.symmetric,
-            "xi_star_mode": self.xi_star_mode,
-            "xi_star_value": self.xi_star_value,
-            "oversampling": self.oversampling,
-            "resample_singular": self.resample_singular,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "workers"}
+        d.update(distribution=self.distribution.to_dict(), sizes=list(self.sizes),
+                 epsilons=list(self.epsilons))
         return d
 
     @classmethod
@@ -191,7 +185,6 @@ class ExperimentConfig:
             oversampling=int(d.get("oversampling", 64)),
             resample_singular=bool(d.get("resample_singular", False)),
             workers=int(d.get("workers", 1)),
-            output_dir=d.get("output_dir"),
         )
 
 
@@ -323,40 +316,127 @@ class TailEstimate:
         }
 
 
-def _map_trials(fn: Callable[[int], object], count: int, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, range(count)))
-    return [fn(t) for t in range(count)]
+class ExperimentResult(SimpleNamespace):
+    """One run: ``experiment``, the ``config`` echo, ``records`` per size, the reducer's fields."""
+
+    def to_dict(self) -> dict:
+        """``{schema_version, experiment, config, ...}``: every field but the records."""
+        fields = {k: _jsonable(v) for k, v in vars(self).items() if k != "records"}
+        return {"schema_version": SCHEMA_VERSION, **fields}
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+# ---------------------------------------------------------------------------
+# the shared runner: kernel -> runner -> reducer
+
+_MAX_RESAMPLES = 64
+
+
+class _SingularDraw(Exception):
+    """Raised by a kernel on a singular draw; ``args[0]`` holds the record fields to keep."""
+
+
+def _trial(config: ExperimentConfig, kernel: Callable, n: int, t: int) -> tuple[TrialRecord, object]:
+    """Trial t at dimension n, redrawn after a singular draw when resampling is on."""
+    gen, seed = trial_stream(config.master_seed, n, t)
+    for attempt in range(_MAX_RESAMPLES + 1):
+        try:
+            values, extra = kernel(gen, n, t, config)
+        except _SingularDraw as draw:
+            if config.resample_singular and attempt < _MAX_RESAMPLES:
+                gen, _ = trial_stream(config.master_seed, n, t, attempt + 1)
+                continue
+            return TrialRecord(t, seed, **draw.args[0]), None
+        if attempt:
+            values["flags"] = (f"resampled-{attempt}",) + values["flags"]
+        return TrialRecord(t, seed, **values), extra
+
+
+def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Callable,
+         min_size: int = 1, sizes: tuple[int, ...] = ()) -> ExperimentResult:
+    """Check the sizes, run every trial of every size, and reduce the records.
+
+    Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``, and
+    are all checked before any trial runs.  ``kernel(gen, n, t, config)``
+    returns the record fields of trial t and an extra for the reducer; a
+    singular draw it raises is redrawn from ``trial_stream(master_seed, n, t,
+    attempt)`` when the config asks for resampling.  Trials fan out over
+    ``config.workers`` threads with OpenBLAS on one thread, and
+    ``reduce(config, sizes, records, extras)`` returns the summary fields.
+    """
+    sizes = sizes or config.sizes or ((config.n,) if config.n else ())
+    if not sizes:
+        raise ValueError(f"{experiment} needs sizes")
+    if min(sizes) < min_size:
+        raise ValueError(f"{experiment} needs every size n >= {min_size}, got sizes {list(sizes)}")
+    with single_blas_thread(), ThreadPoolExecutor(config.workers) as pool:
+        fan_out = pool.map if config.workers > 1 else map  # the pool starts no thread until used
+        trials = {n: list(fan_out(partial(_trial, config, kernel, n), range(config.trials)))
+                  for n in dict.fromkeys(sizes)}
+    records = {n: tuple(rec for rec, _ in out) for n, out in trials.items()}
+    extras = {n: [extra for _, extra in out] for n, out in trials.items()}
+    return ExperimentResult(experiment=experiment, config=config.science_dict(), records=records,
+                            **reduce(config, sizes, records, extras))
+
+
+def _extremes(rep, flags: tuple[str, ...] = ()) -> dict:
+    """Record fields from a circulant's ConditionReport."""
+    return {"sigma_max": rep.sigma_max, "sigma_min": rep.sigma_min, "kappa": rep.kappa, "flags": flags}
+
+
+def _singular_values(top, bottom, flags: tuple[str, ...]) -> dict:
+    """Record fields from the largest and smallest singular value of a dense matrix."""
+    kappa = float(top / bottom) if bottom > 0 else np.inf
+    return {"sigma_max": float(top), "sigma_min": float(bottom), "kappa": kappa, "flags": flags}
+
+
+def _count(records: dict[int, tuple[TrialRecord, ...]], *flags: str) -> int:
+    """Trials over all sizes that carry any of ``flags``."""
+    return sum(1 for recs in records.values() for r in recs if any(f in r.flags for f in flags))
+
+
+def _point(n: int, epsilon: float, k: int, total: int) -> TailPoint:
+    lo, hi = wilson_interval(k, total)
+    return TailPoint(n, epsilon, k / total, lo, hi, k, total)
 
 
 # ---------------------------------------------------------------------------
 # Table-1 experiment: sigma_min of the Schur block at dimension 2n
 
 
-@dataclass(frozen=True)
-class Table1Result:
-    config: dict
-    records: tuple[TrialRecord, ...]
-    summary: SummaryStats | None
-    singular_count: int
-    fallback_count: int
-    structured_fallback_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "table1",
-            "config": self.config,
-            "singular_count": self.singular_count,
-            "fallback_count": self.fallback_count,
-            "structured_fallback_count": self.structured_fallback_count,
-            "summary": self.summary.to_dict() if self.summary else None,
-        }
+def _table1_trial(gen, big_n, t, config):
+    row = config.distribution.sample(gen, big_n)
+    lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
+    fields = _extremes(circulant_extremes(lam))
+    try:
+        res = schur_sigma_min(lam)
+    except SingularEmbeddingError:
+        raise _SingularDraw(dict(fields, flags=("singular-embedding",))) from None
+    fields["flags"] = tuple(flag for flag, on in (
+        ("structured-fallback", res.structured_fallback),
+        ("fallback-used", res.used_fallback),
+        ("exact-singular", res.singular),
+    ) if on)
+    fields["sigmin_s"] = big_n * res.value
+    return fields, None
 
 
-@single_blas_thread()
-def run_table1(config: ExperimentConfig) -> Table1Result:
+def _table1_summary(config, sizes, records, extras):
+    good = [r.sigmin_s for r in records[config.n] if r.sigmin_s is not None]
+    return {
+        "summary": SummaryStats.from_samples(good) if good else None,
+        "singular_count": _count(records, "singular-embedding"),
+        "fallback_count": _count(records, "fallback-used"),
+        "structured_fallback_count": _count(records, "structured-fallback"),
+    }
+
+
+def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Monte Carlo for sigma_min of the Schur block S_n at dimension 2n = config.n.
 
     Per trial: draw the 2n circulant coefficients and measure the smallest
@@ -370,73 +450,13 @@ def run_table1(config: ExperimentConfig) -> Table1Result:
     factor 2n).  Singular embeddings are flagged and excluded from the
     summary rather than resampled, unless resampling is requested.
     """
-    big_n = config.n
-    if big_n < 2 or big_n % 2 != 0:
-        raise ValueError("table1 needs an even dimension 2n >= 2")
-
-    def one(t: int) -> TrialRecord:
-        gen, seed = trial_stream(config.master_seed, big_n, t)
-        flags: list[str] = []
-        attempt = 0
-        while True:
-            row = config.distribution.sample(gen, big_n)
-            lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
-            rep = circulant_extremes(lam)
-            try:
-                res = schur_sigma_min(lam)
-            except SingularEmbeddingError:
-                if config.resample_singular and attempt < 64:
-                    attempt += 1
-                    gen, _ = trial_stream(config.master_seed, big_n, t, attempt)
-                    continue
-                flags.append("singular-embedding")
-                return TrialRecord(
-                    t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min,
-                    kappa=rep.kappa, flags=tuple(flags),
-                )
-            if attempt:
-                flags.append(f"resampled-{attempt}")
-            if res.structured_fallback:
-                flags.append("structured-fallback")
-            if res.used_fallback:
-                flags.append("fallback-used")
-            if res.singular:
-                flags.append("exact-singular")
-            return TrialRecord(
-                t, seed,
-                sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
-                sigmin_s=big_n * res.value, flags=tuple(flags),
-            )
-
-    records = _map_trials(one, config.trials, config.workers)
-    good = [r.sigmin_s for r in records if r.sigmin_s is not None]
-    singular = sum(1 for r in records if "singular-embedding" in r.flags)
-    fallback = sum(1 for r in records if "fallback-used" in r.flags)
-    structured_fallback = sum(1 for r in records if "structured-fallback" in r.flags)
-    summary = SummaryStats.from_samples(good) if good else None
-    return Table1Result(config.science_dict(), tuple(records), summary, singular, fallback,
-                        structured_fallback)
+    if config.n < 2 or config.n % 2 != 0:
+        raise ValueError(f"table1 needs an even dimension 2n >= 2, got {config.n}")
+    return _run("table1", config, _table1_trial, _table1_summary, sizes=(config.n,))
 
 
 # ---------------------------------------------------------------------------
-# sigma_max tail across dimensions
-
-
-@dataclass(frozen=True)
-class SigmaMaxResult:
-    config: dict
-    records: dict[int, tuple[TrialRecord, ...]]
-    summaries: dict[int, SummaryStats]
-    tail: TailEstimate
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "sigmax",
-            "config": self.config,
-            "summaries": {str(n): s.to_dict() for n, s in self.summaries.items()},
-            "tail": self.tail.to_dict(),
-        }
+# circulant tails across dimensions: sigma_max, sigma_min and kappa
 
 
 def _draw_circulant(config: ExperimentConfig, gen: np.random.Generator, n: int) -> CirculantSpec:
@@ -447,8 +467,32 @@ def _draw_circulant(config: ExperimentConfig, gen: np.random.Generator, n: int) 
     return CirculantSpec(n, CoefficientSequence(config.distribution.sample(gen, n)))
 
 
-@single_blas_thread()
-def run_sigma_max_tail(config: ExperimentConfig) -> SigmaMaxResult:
+def _sigmax_trial(gen, n, t, config):
+    spec = _draw_circulant(config, gen, n)
+    fields = _extremes(circulant_extremes(circulant_eigenvalues(spec)))
+    if config.oversampling:
+        bracket = max_modulus(TrigPolynomial(spec.first_row, symmetric=config.symmetric),
+                              config.oversampling)
+        fields["ratio_lower"], fields["ratio_upper"] = salem_zygmund_ratio(bracket, n)
+    return fields, None
+
+
+def _sigmax_summary(config, sizes, records, extras):
+    def stat(rec: TrialRecord, n: int) -> float:
+        if rec.ratio_lower is not None:
+            return rec.ratio_lower
+        return rec.sigma_max / math.sqrt(n * math.log(n))
+
+    samples = {n: [stat(r, n) for r in recs] for n, recs in records.items()}
+    summaries = {n: SummaryStats.from_samples(v) for n, v in samples.items()}
+    fitted = summaries[min(sizes)].q99
+    points = [_point(n, fitted, sum(1 for v in samples[n] if v > fitted), len(samples[n]))
+              for n in sorted(sizes)]
+    tail = TailEstimate("sup-norm ratio > fitted C0", None, fitted, tuple(points))
+    return {"summaries": summaries, "tail": tail}
+
+
+def run_sigma_max_tail(config: ExperimentConfig) -> ExperimentResult:
     """Distribution of sigma_max(C_n)/sqrt(n log n) plus sup-norm brackets.
 
     The normalized statistic uses the certified grid lower bound for the
@@ -456,70 +500,26 @@ def run_sigma_max_tail(config: ExperimentConfig) -> SigmaMaxResult:
     fitted constant is the 99th percentile at the smallest dimension and the
     tail points report how often larger dimensions exceed it.
     """
-    sizes = config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError("sigma-max tail needs sizes")
+    return _run("sigmax", config, _sigmax_trial, _sigmax_summary, min_size=2)
 
-    def one_size(n: int) -> tuple[TrialRecord, ...]:
-        def one(t: int) -> TrialRecord:
-            gen, seed = trial_stream(config.master_seed, n, t)
-            spec = _draw_circulant(config, gen, n)
-            rep = circulant_extremes(circulant_eigenvalues(spec))
-            ratio_lower = ratio_upper = None
-            if config.oversampling > 4:
-                poly = TrigPolynomial(spec.first_row, symmetric=config.symmetric)
-                bracket = max_modulus(poly, config.oversampling)
-                ratio_lower, ratio_upper = salem_zygmund_ratio(bracket, n)
-            return TrialRecord(
-                t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
-                ratio_lower=ratio_lower, ratio_upper=ratio_upper,
-            )
 
-        return tuple(_map_trials(one, config.trials, config.workers))
+def _circulant_trial(gen, n, t, config):
+    rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
+    return _extremes(rep, ("singular-embedding",) if rep.singular else ()), None
 
-    records = {n: one_size(n) for n in sizes}
 
-    def stat(rec: TrialRecord, n: int) -> float:
-        if rec.ratio_lower is not None:
-            return rec.ratio_lower
-        return rec.sigma_max / math.sqrt(n * math.log(n))
-
-    summaries = {
-        n: SummaryStats.from_samples([stat(r, n) for r in recs]) for n, recs in records.items()
-    }
-    smallest = min(sizes)
-    fitted = summaries[smallest].q99
+def _sigmin_summary(config, sizes, records, extras):
+    exponent = 0.51 if config.symmetric else config.rho
     points = []
     for n in sorted(sizes):
-        vals = [stat(r, n) for r in records[n]]
-        k = sum(1 for v in vals if v > fitted)
-        lo, hi = wilson_interval(k, len(vals))
-        points.append(TailPoint(n, fitted, k / len(vals), lo, hi, k, len(vals)))
-    tail = TailEstimate("sup-norm ratio > fitted C0", None, fitted, tuple(points))
-    return SigmaMaxResult(config.science_dict(), records, summaries, tail)
+        smins = np.array([r.sigma_min for r in records[n]])
+        for eps in config.epsilons or (config.epsilon,):
+            k = int(np.count_nonzero(smins <= eps * n ** (-exponent)))
+            points.append(_point(n, float(eps), k, smins.size))
+    return {"tail": TailEstimate(f"sigma_min <= eps * n^-{exponent}", exponent, None, tuple(points))}
 
 
-# ---------------------------------------------------------------------------
-# sigma_min tail across dimensions and epsilon grid
-
-
-@dataclass(frozen=True)
-class SigmaMinTailResult:
-    config: dict
-    records: dict[int, tuple[TrialRecord, ...]]
-    tail: TailEstimate
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "sigmin",
-            "config": self.config,
-            "tail": self.tail.to_dict(),
-        }
-
-
-@single_blas_thread()
-def run_sigma_min_tail(config: ExperimentConfig) -> SigmaMinTailResult:
+def run_sigma_min_tail(config: ExperimentConfig) -> ExperimentResult:
     """Empirical P(sigma_min(C_n) <= eps n^-rho) over an epsilon grid.
 
     The symmetric variant draws the floor(n/2)+1 free coefficients and uses
@@ -527,123 +527,37 @@ def run_sigma_min_tail(config: ExperimentConfig) -> SigmaMinTailResult:
     on the same fixed samples for every epsilon, so nested-event monotonicity
     holds exactly.
     """
-    sizes = config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError("sigma-min tail needs sizes")
-    epsilons = config.epsilons or (config.epsilon,)
-    exponent = 0.51 if config.symmetric else config.rho
-
-    def one_size(n: int) -> tuple[TrialRecord, ...]:
-        def one(t: int) -> TrialRecord:
-            gen, seed = trial_stream(config.master_seed, n, t)
-            rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
-            flags = ("singular-embedding",) if rep.singular else ()
-            return TrialRecord(
-                t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
-                flags=flags,
-            )
-
-        return tuple(_map_trials(one, config.trials, config.workers))
-
-    records = {n: one_size(n) for n in sizes}
-    points = []
-    for n in sorted(sizes):
-        smins = np.array([r.sigma_min for r in records[n]])
-        for eps in epsilons:
-            k = int(np.count_nonzero(smins <= eps * n ** (-exponent)))
-            lo, hi = wilson_interval(k, smins.size)
-            points.append(TailPoint(n, float(eps), k / smins.size, lo, hi, k, smins.size))
-    tail = TailEstimate(
-        f"sigma_min <= eps * n^-{exponent}", exponent, None, tuple(points)
-    )
-    return SigmaMinTailResult(config.science_dict(), records, tail)
+    return _run("sigmin", config, _circulant_trial, _sigmin_summary)
 
 
-# ---------------------------------------------------------------------------
-# condition number experiment
+def _kappa_summary(config, sizes, records, extras):
+    rho, eps = config.rho, config.epsilon
+
+    def normalized(n: int) -> list[float]:
+        scale = n ** (rho + 0.5) * math.sqrt(math.log(n))
+        return [r.kappa / scale for r in records[n] if np.isfinite(r.kappa)]
+
+    samples = {n: normalized(n) for n in records}
+    summaries = {n: SummaryStats.from_samples(v) for n, v in samples.items()}
+    fitted = eps * summaries[min(sizes)].q99
+    points = [_point(n, eps, sum(1 for v in samples[n] if v <= fitted / eps), len(samples[n]))
+              for n in sorted(sizes)]
+    tail = TailEstimate("kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) coverage", rho, fitted, tuple(points))
+    return {"summaries": summaries, "tail": tail}
 
 
-@dataclass(frozen=True)
-class ConditionNumberResult:
-    config: dict
-    records: dict[int, tuple[TrialRecord, ...]]
-    summaries: dict[int, SummaryStats]
-    tail: TailEstimate
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "kappa",
-            "config": self.config,
-            "summaries": {str(n): s.to_dict() for n, s in self.summaries.items()},
-            "tail": self.tail.to_dict(),
-        }
-
-
-@single_blas_thread()
-def run_condition_number(config: ExperimentConfig) -> ConditionNumberResult:
+def run_condition_number(config: ExperimentConfig) -> ExperimentResult:
     """Distribution of kappa(C_n) normalized by n^(rho+1/2) sqrt(log n).
 
     The fitted constant is eps * q99 of the normalized statistic at the
     smallest dimension; coverage points report how often the event
     kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) holds at each dimension.
     """
-    sizes = config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError("condition-number experiment needs sizes")
-    rho = config.rho
-    eps = config.epsilon
-
-    def one_size(n: int) -> tuple[TrialRecord, ...]:
-        def one(t: int) -> TrialRecord:
-            gen, seed = trial_stream(config.master_seed, n, t)
-            rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
-            flags = ("singular-embedding",) if rep.singular else ()
-            return TrialRecord(
-                t, seed, sigma_max=rep.sigma_max, sigma_min=rep.sigma_min, kappa=rep.kappa,
-                flags=flags,
-            )
-
-        return tuple(_map_trials(one, config.trials, config.workers))
-
-    records = {n: one_size(n) for n in sizes}
-
-    def normalized(n: int) -> list[float]:
-        scale = n ** (rho + 0.5) * math.sqrt(math.log(n))
-        return [r.kappa / scale for r in records[n] if np.isfinite(r.kappa)]
-
-    summaries = {n: SummaryStats.from_samples(normalized(n)) for n in sizes}
-    smallest = min(sizes)
-    fitted = eps * summaries[smallest].q99
-    points = []
-    for n in sorted(sizes):
-        vals = normalized(n)
-        k = sum(1 for v in vals if v <= fitted / eps)
-        lo, hi = wilson_interval(k, len(vals))
-        points.append(TailPoint(n, eps, k / len(vals), lo, hi, k, len(vals)))
-    tail = TailEstimate("kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) coverage", rho, fitted, tuple(points))
-    return ConditionNumberResult(config.science_dict(), records, summaries, tail)
+    return _run("kappa", config, _circulant_trial, _kappa_summary, min_size=2)
 
 
 # ---------------------------------------------------------------------------
-# rectangular stack [T; B]
-
-
-@dataclass(frozen=True)
-class RectangularResult:
-    config: dict
-    records: dict[int, tuple[TrialRecord, ...]]
-    summaries: dict[int, SummaryStats]
-    violations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "rect",
-            "config": self.config,
-            "summaries": {str(n): s.to_dict() for n, s in self.summaries.items()},
-            "violations": self.violations,
-        }
+# Toeplitz draws: the rectangular stack [T; B] and the interlacing suite
 
 
 def _draw_toeplitz(config: ExperimentConfig, gen: np.random.Generator, n: int):
@@ -656,8 +570,24 @@ def _draw_toeplitz(config: ExperimentConfig, gen: np.random.Generator, n: int):
     return spec, xi_star
 
 
-@single_blas_thread()
-def run_rectangular(config: ExperimentConfig) -> RectangularResult:
+def _rect_trial(gen, n, t, config):
+    cspec = embed_toeplitz(*_draw_toeplitz(config, gen, n))
+    rep = circulant_extremes(circulant_eigenvalues(cspec))
+    sv = dense_svd(materialize_circulant(cspec)[:, :n])
+    tol = 1e-8 * rep.sigma_max
+    violated = sv[0] > rep.sigma_max + tol or sv[n - 1] < rep.sigma_min - tol
+    return _singular_values(sv[0], sv[n - 1], ("clause-violation",) if violated else ()), None
+
+
+def _rect_summary(config, sizes, records, extras):
+    summaries = {
+        n: SummaryStats.from_samples([r.kappa for r in recs if np.isfinite(r.kappa)])
+        for n, recs in records.items()
+    }
+    return {"summaries": summaries, "violations": _count(records, "clause-violation")}
+
+
+def run_rectangular(config: ExperimentConfig) -> ExperimentResult:
     """Condition number of the 2n x n stack A = [T; B] from the embedding.
 
     kappa(A) = sigma_1(A) / sigma_n(A) (for full-rank tall A the distance to
@@ -665,73 +595,42 @@ def run_rectangular(config: ExperimentConfig) -> RectangularResult:
     interlacing consequences sigma_1(A) <= sigma_max(C_2n) and
     sigma_n(A) >= sigma_min(C_2n).
     """
-    from .matrices import embed_toeplitz, materialize_circulant
-    from .spectral import dense_svd
+    return _run("rect", config, _rect_trial, _rect_summary)
 
-    sizes = config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError("rectangular experiment needs sizes")
 
-    def one_size(n: int) -> tuple[TrialRecord, ...]:
-        def one(t: int) -> TrialRecord:
-            gen, seed = trial_stream(config.master_seed, n, t)
-            spec, xi_star = _draw_toeplitz(config, gen, n)
-            cspec = embed_toeplitz(spec, xi_star)
-            rep = circulant_extremes(circulant_eigenvalues(cspec))
-            stack = materialize_circulant(cspec)[:, :n]
-            sv = dense_svd(stack)
-            tol = 1e-8 * rep.sigma_max
-            flags = []
-            if sv[0] > rep.sigma_max + tol or sv[n - 1] < rep.sigma_min - tol:
-                flags.append("clause-violation")
-            kappa = float(sv[0] / sv[n - 1]) if sv[n - 1] > 0 else np.inf
-            return TrialRecord(
-                t, seed, sigma_max=float(sv[0]), sigma_min=float(sv[n - 1]), kappa=kappa,
-                flags=tuple(flags),
-            )
+def _interlace_trial(gen, n, t, config, cauchy_trials):
+    spec, xi_star = _draw_toeplitz(config, gen, n)
+    report = verify_interlacing(spec, xi_star)
+    flags = tuple(flag for flag, on in (
+        ("singular-embedding", report.singular_embedding),
+        ("violation-a", not report.clause_a),
+        ("violation-b", not report.clause_b),
+        ("violation-c", report.clause_c is False),
+    ) if on)
+    cauchy = None
+    if t < cauchy_trials:
+        stack = materialize_circulant(embed_toeplitz(spec, xi_star))[:, : min(n, 12)]
+        cauchy = cauchy_interlacing_check(stack)
+    fields = _singular_values(report.sigma_c[0], report.sigma_c[-1], flags)
+    return fields, (report.margin_a, report.margin_b, report.margin_c, cauchy)
 
-        return tuple(_map_trials(one, config.trials, config.workers))
 
-    records = {n: one_size(n) for n in sizes}
-    summaries = {
-        n: SummaryStats.from_samples([r.kappa for r in recs if np.isfinite(r.kappa)])
-        for n, recs in records.items()
+def _interlace_summary(config, sizes, records, extras):
+    trials = [extra for n in sorted(extras) for extra in extras[n]]
+    margins = {"a": [e[0] for e in trials], "b": [e[1] for e in trials],
+               "c": [e[2] for e in trials if e[2] is not None]}
+    # counted per listed size, so a repeated size counts its checks again
+    cauchy = [ok for n in sizes for *_, ok in extras[n] if ok is not None]
+    return {
+        "violations": _count(records, "violation-a", "violation-b", "violation-c"),
+        "singular_count": _count(records, "singular-embedding"),
+        "margin_summaries": {k: SummaryStats.from_samples(v) for k, v in margins.items() if v},
+        "cauchy_checked": len(cauchy),
+        "cauchy_failures": sum(1 for ok in cauchy if not ok),
     }
-    violations = sum(
-        1 for recs in records.values() for r in recs if "clause-violation" in r.flags
-    )
-    return RectangularResult(config.science_dict(), records, summaries, violations)
 
 
-# ---------------------------------------------------------------------------
-# interlacing suite
-
-
-@dataclass(frozen=True)
-class InterlacingSuiteResult:
-    config: dict
-    records: dict[int, tuple[TrialRecord, ...]]
-    violations: int
-    singular_count: int
-    margin_summaries: dict[str, SummaryStats]
-    cauchy_checked: int
-    cauchy_failures: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": "interlace",
-            "config": self.config,
-            "violations": self.violations,
-            "singular_count": self.singular_count,
-            "cauchy_checked": self.cauchy_checked,
-            "cauchy_failures": self.cauchy_failures,
-            "margin_summaries": {k: s.to_dict() for k, s in self.margin_summaries.items()},
-        }
-
-
-@single_blas_thread()
-def run_interlacing_suite(config: ExperimentConfig, cauchy_trials: int = 8) -> InterlacingSuiteResult:
+def run_interlacing_suite(config: ExperimentConfig, cauchy_trials: int = 8) -> ExperimentResult:
     """Batch the embedding inequalities over random Toeplitz draws.
 
     Every trial runs :func:`verify_interlacing` at full size; the column-prefix
@@ -740,74 +639,8 @@ def run_interlacing_suite(config: ExperimentConfig, cauchy_trials: int = 8) -> I
     12 columns.  Violations are expected to be zero; singular embeddings skip
     clause (c) and are counted separately.
     """
-    from .matrices import embed_toeplitz, materialize_circulant
-
-    sizes = config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError("interlacing suite needs sizes")
-
-    cauchy_checked = 0
-    cauchy_failures = 0
-
-    def one_size(n: int) -> tuple[tuple[TrialRecord, tuple], ...]:
-        def one(t: int) -> tuple[TrialRecord, tuple]:
-            gen, seed = trial_stream(config.master_seed, n, t)
-            spec, xi_star = _draw_toeplitz(config, gen, n)
-            report = verify_interlacing(spec, xi_star)
-            flags = []
-            if report.singular_embedding:
-                flags.append("singular-embedding")
-            if not report.clause_a:
-                flags.append("violation-a")
-            if not report.clause_b:
-                flags.append("violation-b")
-            if report.clause_c is False:
-                flags.append("violation-c")
-            record = TrialRecord(
-                t, seed,
-                sigma_max=float(report.sigma_c[0]), sigma_min=float(report.sigma_c[-1]),
-                kappa=float(report.sigma_c[0] / report.sigma_c[-1]) if report.sigma_c[-1] > 0 else np.inf,
-                flags=tuple(flags),
-            )
-            return record, (report.margin_a, report.margin_b, report.margin_c)
-
-        return tuple(_map_trials(one, config.trials, config.workers))
-
-    raw = {n: one_size(n) for n in sizes}
-    records = {n: tuple(rec for rec, _ in pairs) for n, pairs in raw.items()}
-    margins: dict[str, list[float]] = {"a": [], "b": [], "c": []}
-    for n in sorted(raw):
-        for _, (ma, mb, mc) in raw[n]:
-            margins["a"].append(ma)
-            margins["b"].append(mb)
-            if mc is not None:
-                margins["c"].append(mc)
-
-    for n in sizes:
-        for t in range(min(cauchy_trials, config.trials)):
-            gen, _ = trial_stream(config.master_seed, n, t)
-            spec, xi_star = _draw_toeplitz(config, gen, n)
-            stack = materialize_circulant(embed_toeplitz(spec, xi_star))[:, : min(n, 12)]
-            cauchy_checked += 1
-            if not cauchy_interlacing_check(stack):
-                cauchy_failures += 1
-
-    violations = sum(
-        1
-        for recs in records.values()
-        for r in recs
-        if any(f.startswith("violation") for f in r.flags)
-    )
-    singular = sum(
-        1 for recs in records.values() for r in recs if "singular-embedding" in r.flags
-    )
-    margin_summaries = {
-        k: SummaryStats.from_samples(v) for k, v in margins.items() if v
-    }
-    return InterlacingSuiteResult(
-        config.science_dict(), records, violations, singular,
-        margin_summaries, cauchy_checked, cauchy_failures,
-    )
+    kernel = partial(_interlace_trial, cauchy_trials=cauchy_trials)
+    return _run("interlace", config, kernel, _interlace_summary)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,31 @@ class TestExperimentCommand:
         assert "oversampling" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["kappa", "--sizes", "1"],                         # kappa / (n^(rho+1/2) sqrt(log n))
+        ["sigmax", "--oversampling", "0", "--sizes", "1"],  # sigma_max / sqrt(n log n)
+        ["kappa", "--sizes", "16,1"],
+        ["sigmin", "--sizes", "0"],
+        ["rect", "--sizes", "0"],
+        ["interlace", "--sizes", "4,0"],
+        ["sigmax", "--sizes", "0"],
+    ])
+    def test_bad_sizes_usage_error(self, tmp_path, capsys, argv):
+        # checked before any trial runs: exit 1 with a message naming the sizes, no files
+        code = run(tmp_path, "experiment", *argv[:1], "--dist", "normal", "--trials", "5",
+                   "--seed", "1", *argv[1:])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        sizes = argv[-1].replace(",", ", ")
+        assert err.startswith("circulab: error:") and f"sizes [{sizes}]" in err
+        assert err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_size_one_still_runs(self, tmp_path):
+        for kind in ("sigmin", "rect", "interlace"):
+            assert run(tmp_path, "experiment", kind, "--sizes", "1", "--trials", "3") == EXIT_OK
+            assert (tmp_path / f"{kind}_normal_n1_trials.csv").exists()
+
     @pytest.mark.parametrize("w", ["0", "-1"])
     def test_workers_below_one_usage_error(self, tmp_path, capsys, w):
         code = run(tmp_path, "experiment", "sigmin", "--dist", "normal",

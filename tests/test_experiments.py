@@ -147,7 +147,7 @@ class TestTable1:
         # harness sigmin_S equals 2n * dense_svd(schur_block_oracle) per trial
         config = cfg(experiment="table1", n=8, trials=20)
         res = run_table1(config)
-        for rec in res.records:
+        for rec in res.records[8]:
             if rec.sigmin_s is None:
                 continue
             gen, _ = trial_stream(config.master_seed, 8, rec.trial_index)
@@ -161,7 +161,7 @@ class TestTable1:
             config = cfg(experiment="table1", n=32, trials=10,
                          distribution=Distribution(kind))
             res = run_table1(config)
-            for rec in res.records:
+            for rec in res.records[32]:
                 if rec.sigmin_s is None:
                     continue
                 gen, _ = trial_stream(config.master_seed, 32, rec.trial_index)
@@ -175,7 +175,7 @@ class TestTable1:
         config = cfg(experiment="table1", n=4, trials=200,
                      distribution=Distribution("rademacher"))
         res = run_table1(config)
-        flagged = [r for r in res.records if "singular-embedding" in r.flags]
+        flagged = [r for r in res.records[4] if "singular-embedding" in r.flags]
         assert res.singular_count == len(flagged) > 0
         assert all(r.sigmin_s is None for r in flagged)
         assert res.summary.count == config.trials - res.singular_count
@@ -186,7 +186,7 @@ class TestTable1:
         res = run_table1(config)
         assert res.singular_count == 0
         assert res.summary.count == 100
-        assert any("resampled" in f for r in res.records for f in r.flags)
+        assert any("resampled" in f for r in res.records[4] for f in r.flags)
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -209,10 +209,10 @@ class TestTable1:
                 config = cfg(experiment="table1", n=big_n, trials=40, master_seed=5,
                              distribution=Distribution(kind))
                 res = run_table1(config)
-                flagged = [r for r in res.records if "structured-fallback" in r.flags]
+                flagged = [r for r in res.records[big_n] if "structured-fallback" in r.flags]
                 assert res.structured_fallback_count == len(flagged)
                 assert res.to_dict()["structured_fallback_count"] == len(flagged)
-                for rec in res.records:
+                for rec in res.records[big_n]:
                     if rec.sigmin_s is None:
                         continue
                     block = self.gathered_block(config, rec.trial_index)
@@ -237,38 +237,41 @@ class TestTable1:
         config = cfg(experiment="table1", n=64, trials=6)
         res = run_table1(config)
         assert res.structured_fallback_count == 6
-        for rec in res.records:
+        for rec in res.records[64]:
             assert rec.flags == ("structured-fallback",)
             assert rec.sigmin_s == 64 * sigma_min_fast(self.gathered_block(config, rec.trial_index)).value
 
 
 class TestDeterminism:
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        # sigmin and sigmax are FFT-only; rect and interlace run LAPACK dgejsv in
-        # every trial; table1 runs the structured Schur-block kernel (FFTs and
+        # sigmin, kappa and sigmax are FFT-only (the symmetric cases draw the
+        # free coefficients); rect and interlace run LAPACK dgejsv in every
+        # trial; table1 runs the structured Schur-block kernel (FFTs and
         # Levinson) at a size where a dense LAPACK path would thread
         cases = [
-            ("sigmin", run_sigma_min_tail, (32,), 60),
-            ("sigmax", run_sigma_max_tail, (16, 64), 30),
-            ("rect", run_rectangular, (8, 24), 20),
-            ("interlace", run_interlacing_suite, (8, 24), 12),
-            ("table1", run_table1, (64,), 12),
-            ("table1", run_table1, (1024,), 6),
+            ("sigmin", run_sigma_min_tail, (32,), 60, False),
+            ("sigmin", run_sigma_min_tail, (31, 32), 40, True),
+            ("kappa", run_condition_number, (16, 64), 40, False),
+            ("sigmax", run_sigma_max_tail, (16, 64), 30, False),
+            ("sigmax", run_sigma_max_tail, (15, 16), 20, True),
+            ("rect", run_rectangular, (8, 24), 20, False),
+            ("interlace", run_interlacing_suite, (8, 24), 12, False),
+            ("table1", run_table1, (64,), 12, False),
+            ("table1", run_table1, (1024,), 6, False),
         ]
-        for kind, run, sizes, trials in cases:
+        for kind, run, sizes, trials, symmetric in cases:
             blobs = {}
             for workers in (1, 4):
                 if kind == "table1":
                     config = cfg(experiment=kind, n=sizes[0], trials=trials, workers=workers)
                 else:
                     config = cfg(experiment=kind, sizes=sizes, trials=trials, rho=0.2,
-                                 workers=workers)
+                                 symmetric=symmetric, workers=workers)
                 res = run(config)
                 out = tmp_path / f"{kind}{sizes[0]}_w{workers}"
                 out.mkdir()
-                records = {sizes[0]: res.records} if kind == "table1" else res.records
                 for n in sizes:
-                    trials_to_csv(records[n], out / f"n{n}.csv", config.science_dict())
+                    trials_to_csv(res.records[n], out / f"n{n}.csv", config.science_dict())
                 summary_to_json(res.to_dict(), out / "summary.json")
                 if kind == "sigmax":
                     ratios_to_csv(res.records, "normal", out / "ratios.csv")
@@ -319,14 +322,14 @@ class TestDeterminism:
             config = cfg(experiment="table1", n=16, trials=15)
             res = run_table1(config)
             p = tmp_path / f"r{run}.csv"
-            trials_to_csv(res.records, p, config.science_dict())
+            trials_to_csv(res.records[16], p, config.science_dict())
             blobs.append(p.read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_trial_records_independent_of_trial_count(self):
         # trial t is a pure function of (seed, n, t): prefix runs agree
-        r10 = run_table1(cfg(experiment="table1", n=16, trials=10)).records
-        r5 = run_table1(cfg(experiment="table1", n=16, trials=5)).records
+        r10 = run_table1(cfg(experiment="table1", n=16, trials=10)).records[16]
+        r5 = run_table1(cfg(experiment="table1", n=16, trials=5)).records[16]
         assert r10[:5] == r5
 
 
@@ -392,6 +395,16 @@ class TestSigmaMinTail:
 
 
 class TestConditionNumber:
+    def test_shares_the_sigma_min_kernel(self):
+        # sigmin and kappa differ only in their reducers: the same config gives the same trials
+        for symmetric in (False, True):
+            config = cfg(sizes=(15, 16, 64), trials=25, rho=0.2, symmetric=symmetric,
+                         distribution=Distribution("rademacher"))
+            kappa = run_condition_number(config).records
+            sigmin = run_sigma_min_tail(config).records
+            assert kappa == sigmin
+            assert any("singular-embedding" in r.flags for r in kappa[16])
+
     def test_kappa_at_least_one(self):
         config = cfg(experiment="kappa", sizes=(16, 64), trials=30, rho=0.2)
         res = run_condition_number(config)

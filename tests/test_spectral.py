@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy
 
-from circulab import spectral
+from circulab import experiments, spectral
 from circulab.experiments import (
     DISTRIBUTION_KINDS,
     Distribution,
@@ -619,7 +619,7 @@ class TestSingleBlasThread:
             seen.append(tuple(b.get_threads() for b in blas_builds))
             return real(m)
 
-        monkeypatch.setattr(spectral, "dense_svd", spy)
+        monkeypatch.setattr(experiments, "dense_svd", spy)  # the rect kernel's SVD
         _rect_run()
         assert seen and set(seen) == {(1,) * len(blas_builds)}
         assert [b.get_threads() for b in blas_builds] == [2] * len(blas_builds)
