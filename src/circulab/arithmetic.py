@@ -37,6 +37,7 @@ __all__ = [
     "GcdCensus",
     "gcd_census",
     "gcd_census_sweep",
+    "gcd_census_to_csv",
     "ConcentrationEstimate",
     "levy_concentration",
     "ConditionHReport",
@@ -484,33 +485,57 @@ def _totient_sums(phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.stack(sums, axis=1).astype(np.int64)
 
 
-_INT32_MAX = np.iinfo(np.int32).max
+_UINT_DTYPES = tuple((np.iinfo(t).max, np.dtype(t)) for t in (np.uint16, np.uint32, np.uint64))
+
+
+def _uint_dtype(n: int) -> np.dtype:
+    # The narrowest unsigned integer dtype that holds every value 0..n.
+    return next(dtype for top, dtype in _UINT_DTYPES if n <= top)
+
+
+def _small_divisors(lo: int, hi: int) -> list[list[int]]:
+    # For lo <= M < hi, the divisors 2 <= d <= sqrt(M) of M in increasing
+    # order, from one direct scan of M mod d over the whole block.  It is
+    # independent of _factorize and _totients, so the census still checks the
+    # totient side rather than sharing its arithmetic.
+    dtype = _uint_dtype(hi - 1)
+    m = np.arange(lo, hi, dtype=dtype)
+    rows, cols = np.nonzero(m[:, None] % np.arange(2, math.isqrt(hi - 1) + 1, dtype=dtype) == 0)
+    found = [[] for _ in range(hi - lo)]
+    for i, d in zip(rows.tolist(), (cols + 2).tolist()):
+        if d * d <= lo + i:  # the scan ran to sqrt(hi - 1), past sqrt(M) for most M
+            found[i].append(d)
+    return found
+
+
+def _mark_gcd_table(m: int, small: list[int]) -> np.ndarray:
+    # gcd(k, m) for k = 1..floor((m-1)/2); the rest follows from gcd(m-k, m) = gcd(k, m).
+    # gcd(k, m) is the largest divisor d of m with d | k: mark the multiples of
+    # each divisor in increasing order, so the largest one is written last.
+    # Divisor 1 is the fill value and m lies past half.  ``small`` holds the
+    # divisors 2 <= d <= sqrt(m) in increasing order; their co-divisors m // d
+    # follow in increasing order, without sqrt(m) a second time.
+    half = (m - 1) // 2
+    table = np.ones(half, dtype=_uint_dtype(half))
+    for d in itertools.chain(small, (m // d for d in reversed(small) if d * d != m)):
+        if d > half:
+            break
+        table[d - 1 :: d] = d
+    return table
 
 
 @lru_cache(maxsize=4)
 def _gcd_table(m: int) -> np.ndarray:
-    # gcd(k, m) for k = 1..floor((m-1)/2); the rest follows from gcd(m-k, m) = gcd(k, m).
-    # gcd(k, m) is the largest divisor d of m with d | k: mark the multiples of
-    # each divisor in increasing order, so the largest one is written last.
-    # Divisor 1 is the fill value and m lies past half.  The divisors come from
-    # a direct scan, independent of _factorize and _totients, so the census
-    # still checks the totient side rather than sharing its arithmetic.
-    half = (m - 1) // 2
-    dtype = np.int32 if m <= _INT32_MAX else np.int64
-    small = [d for d in range(2, math.isqrt(m) + 1) if m % d == 0]
-    table = np.ones(half, dtype=dtype)
-    for d in sorted({*small, *(m // d for d in small)}):
-        if d > half:
-            break
-        table[d - 1 :: d] = d
+    table = _mark_gcd_table(m, _small_divisors(m, m + 1)[0])
     table.setflags(write=False)
     return table
 
 
-def _exact_count(m: int, t: int) -> int:
-    # Number of k in [1, m] with gcd(k, m) >= t for an integer t >= 1.  The
-    # compare stays in the table's integer dtype.
-    exact = 2 * int(np.count_nonzero(_gcd_table(m) >= t))
+def _exact_count(table: np.ndarray, m: int, t: int) -> int:
+    # Number of k in [1, m] with gcd(k, m) >= t for an integer t >= 1, from
+    # m's gcd table.  The compare stays in the table's unsigned dtype, and
+    # NumPy compares a threshold past that dtype's maximum exactly.
+    exact = 2 * int(np.count_nonzero(table >= t))
     exact += m >= t  # k = m itself
     if m % 2 == 0:
         exact += m // 2 >= t  # k = m/2, self-paired under k <-> m-k
@@ -551,10 +576,17 @@ def gcd_census(big_m: int, y: float) -> GcdCensus:
     t = math.ceil(y) if y <= big_m else big_m + 1  # no gcd exceeds M
     codivs, phis = _divisors_with_phi(big_m)
     tsum = int(phis[codivs >= t].sum())
-    return GcdCensus(big_m, y, _exact_count(big_m, t), tsum)
+    return GcdCensus(big_m, y, _exact_count(_gcd_table(big_m), big_m, t), tsum)
 
 
-_SWEEP_BLOCK = 1024  # M per block of totient sums
+_SWEEP_BLOCK = 128  # M per block of totient sums, divisor scans and CSV lines
+
+
+def _check_max_m(max_m: int) -> int:
+    max_m = operator.index(max_m)
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
+    return max_m
 
 
 def gcd_census_sweep(max_m: int) -> Iterator[GcdCensus]:
@@ -563,21 +595,43 @@ def gcd_census_sweep(max_m: int) -> Iterator[GcdCensus]:
     Each item equals ``gcd_census(M, y)``.  The totient side comes from one
     phi sieve up to max_m and the divisor pairs of each block of M, not from
     factorizing each M; the exact side enumerates gcd(k, M) per M as the
-    point query does.
+    point query does, from one divisor scan per block.
     """
-    max_m = operator.index(max_m)
-    if max_m < 1:
-        raise ValueError(f"max_m must be at least 1, got {max_m}")
-    return _sweep(max_m)
+    blocks = _sweep(_check_max_m(max_m))
+    return (GcdCensus(*row) for rows in blocks for row in rows)
 
 
-def _sweep(max_m: int) -> Iterator[GcdCensus]:
+def gcd_census_to_csv(max_m: int, path) -> tuple[int, int, int]:
+    """Write the census sweep up to max_m as lemma CSV, one block of lines at a time.
+
+    The rows are those of :func:`lemma_rows_to_csv` for
+    ``case_id, M, y, applicable, holds, margin`` with margin
+    ``exact_count - totient_sum``.  Returns ``(cases, applicable, violations)``.
+    """
+    blocks = _sweep(_check_max_m(max_m))
+    cases = violations = 0
+    with open(path, "w", newline="") as fh:
+        fh.write("case_id,M,y,applicable,holds,margin\r\n")
+        for rows in blocks:
+            fh.write("".join(f"census-M{m}-y{y:g},{m},{y!r},True,{e == s},{e - s}\r\n"
+                             for m, y, e, s in rows))
+            cases += len(rows)
+            violations += sum(e != s for _, _, e, s in rows)
+    return cases, cases, violations
+
+
+def _sweep(max_m: int) -> Iterator[list[tuple[int, float, int, int]]]:
+    # One list of (M, y, exact_count, totient_sum) rows per block of M.
     phi = _totients(max_m)
     for lo in range(1, max_m + 1, _SWEEP_BLOCK):
         hi = min(lo + _SWEEP_BLOCK, max_m + 1)
-        for m, tsums in zip(range(lo, hi), _totient_sums(phi, lo, hi).tolist()):
+        rows = []
+        for m, small, tsums in zip(range(lo, hi), _small_divisors(lo, hi),
+                                   _totient_sums(phi, lo, hi).tolist()):
+            table = _mark_gcd_table(m, small)
             for y, tsum in zip((1.0, 2.0, math.sqrt(m), float(m)), tsums):
-                yield GcdCensus(m, y, _exact_count(m, math.ceil(y)), tsum)
+                rows.append((m, y, _exact_count(table, m, math.ceil(y)), tsum))
+        yield rows
 
 
 @dataclass(frozen=True)

@@ -278,27 +278,17 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
                 "applicable": True, "holds": margin >= 0, "margin": margin,
             })
             made += 1
-    else:  # gcd-census
-        rows = _census_rows(args.max_m)
     path = out / f"lemma_{args.lemma}.csv"
-    cases, applicable, violations = arithmetic.lemma_rows_to_csv(rows, path)
+    if args.lemma == "gcd-census":
+        try:
+            cases, applicable, violations = arithmetic.gcd_census_to_csv(args.max_m, path)
+        except ValueError as exc:
+            raise ValueError(f"--max-m: {exc}") from None
+    else:
+        cases, applicable, violations = arithmetic.lemma_rows_to_csv(rows, path)
     print(f"{args.lemma}: {cases} cases, {applicable} applicable, "
           f"{violations} violations -> {path}")
     return EXIT_VIOLATION if violations else EXIT_OK
-
-
-def _census_rows(max_m: int):
-    """gcd-census rows for M = 1..max_m at four thresholds each, from one sweep."""
-    try:
-        sweep = arithmetic.gcd_census_sweep(max_m)
-    except ValueError as exc:
-        raise ValueError(f"--max-m: {exc}") from None
-    return ({
-        "case_id": f"census-M{c.M}-y{c.y:g}", "M": c.M, "y": c.y,
-        "applicable": True,
-        "holds": c.exact_count == c.totient_sum,
-        "margin": c.exact_count - c.totient_sum,
-    } for c in sweep)
 
 
 def _experiment_config(args) -> experiments.ExperimentConfig:

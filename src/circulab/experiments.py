@@ -361,8 +361,9 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
          min_size: int = 1, sizes: tuple[int, ...] = ()) -> ExperimentResult:
     """Check the sizes, run every trial of every size, and reduce the records.
 
-    Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``, and
-    are all checked before any trial runs.  ``kernel(gen, n, t, config)``
+    Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``; they
+    must be distinct, and they and the resampling flag (table1 only) are
+    checked before any trial runs.  ``kernel(gen, n, t, config)``
     returns the record fields of trial t and an extra for the reducer; a
     singular draw it raises is redrawn from ``trial_stream(master_seed, n, t,
     attempt)`` when the config asks for resampling.  Trials fan out over
@@ -374,10 +375,15 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
         raise ValueError(f"{experiment} needs sizes")
     if min(sizes) < min_size:
         raise ValueError(f"{experiment} needs every size n >= {min_size}, got sizes {list(sizes)}")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"{experiment} needs distinct sizes, got sizes {list(sizes)}")
+    if config.resample_singular and experiment != "table1":
+        raise ValueError(f"{experiment} never redraws a singular draw; "
+                         "resample_singular is for table1 only")
     with single_blas_thread(), ThreadPoolExecutor(config.workers) as pool:
         fan_out = pool.map if config.workers > 1 else map  # the pool starts no thread until used
         trials = {n: list(fan_out(partial(_trial, config, kernel, n), range(config.trials)))
-                  for n in dict.fromkeys(sizes)}
+                  for n in sizes}
     records = {n: tuple(rec for rec, _ in out) for n, out in trials.items()}
     extras = {n: [extra for _, extra in out] for n, out in trials.items()}
     return ExperimentResult(experiment=experiment, config=config.science_dict(), records=records,
@@ -619,7 +625,6 @@ def _interlace_summary(config, sizes, records, extras):
     trials = [extra for n in sorted(extras) for extra in extras[n]]
     margins = {"a": [e[0] for e in trials], "b": [e[1] for e in trials],
                "c": [e[2] for e in trials if e[2] is not None]}
-    # counted per listed size, so a repeated size counts its checks again
     cauchy = [ok for n in sizes for *_, ok in extras[n] if ok is not None]
     return {
         "violations": _count(records, "violation-a", "violation-b", "violation-c"),

@@ -67,6 +67,10 @@ class SingularEmbeddingError(ValueError):
         self.magnitude = float(magnitude)
         super().__init__(f"singular embedding: |G(w^{index})| = {magnitude:.3e}")
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not from the message in args
+        return type(self), (self.index, self.magnitude)
+
 
 class ConvergenceError(RuntimeError):
     """Raised when an iterative routine exhausts its sweep/iteration budget."""

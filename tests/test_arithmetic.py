@@ -316,6 +316,27 @@ class TestGcdCensus:
     def test_table_matches_np_gcd_structured(self, m):
         np.testing.assert_array_equal(arithmetic._gcd_table(m), self._np_gcd_half(m))
 
+    @pytest.mark.parametrize("m, dtype", [(131_071, np.uint16), (131_072, np.uint16),
+                                          (131_073, np.uint32), (131_074, np.uint32)])
+    def test_table_dtype_edge(self, m, dtype):
+        # the narrowest dtype that holds floor((m-1)/2): uint16 up to m = 131072
+        table = arithmetic._gcd_table(m)
+        assert table.dtype == dtype
+        np.testing.assert_array_equal(table, self._np_gcd_half(m))
+
+    @pytest.mark.parametrize("m, y", [(65_536, 65_536), (100_000, 100_000),
+                                      (131_072, 131_072), (131_072, 70_000)])
+    def test_threshold_above_table_dtype(self, m, y):
+        # thresholds past uint16's maximum still compare exactly with a uint16 table
+        assert arithmetic._gcd_table(m).dtype == np.uint16
+        census = gcd_census(m, y)
+        assert census.exact_count == census.totient_sum == 1
+
+    def test_block_divisor_scan(self):
+        for lo, hi in ((1, 2), (1, 300), (9_950, 10_050), (131_000, 131_100)):
+            want = [[d for d in range(2, math.isqrt(m) + 1) if m % d == 0] for m in range(lo, hi)]
+            assert arithmetic._small_divisors(lo, hi) == want
+
     def test_table_is_read_only(self):
         table = arithmetic._gcd_table(60)
         with pytest.raises(ValueError):
@@ -357,6 +378,26 @@ class TestGcdCensus:
         bad = list(gcd_census_sweep(60))
         assert [c.exact_count for c in bad] == [c.exact_count for c in good]
         assert any(c.exact_count != c.totient_sum for c in bad)
+        argv = ["--out", str(tmp_path), "verify-lemmas", "--lemma", "gcd-census", "--max-m", "60"]
+        assert cli.dispatch(argv) == cli.EXIT_VIOLATION
+
+    def test_sweep_detects_divisor_scan_fault(self, monkeypatch, tmp_path):
+        # The totient side must not share the block divisor scan: dropping the
+        # divisor 3 of 60 has to show up as a mismatch at M = 60 alone and
+        # leave the totient sums.
+        good = list(gcd_census_sweep(60))
+        real = arithmetic._small_divisors
+
+        def drop(lo, hi):
+            found = real(lo, hi)
+            if lo <= 60 < hi:
+                found[60 - lo].remove(3)
+            return found
+
+        monkeypatch.setattr(arithmetic, "_small_divisors", drop)
+        bad = list(gcd_census_sweep(60))
+        assert [c.totient_sum for c in bad] == [c.totient_sum for c in good]
+        assert {c.M for c in bad if c.exact_count != c.totient_sum} == {60}
         argv = ["--out", str(tmp_path), "verify-lemmas", "--lemma", "gcd-census", "--max-m", "60"]
         assert cli.dispatch(argv) == cli.EXIT_VIOLATION
 

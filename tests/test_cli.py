@@ -238,6 +238,8 @@ class TestExperimentCommand:
         ["rect", "--sizes", "0"],
         ["interlace", "--sizes", "4,0"],
         ["sigmax", "--sizes", "0"],
+        ["sigmin", "--sizes", "16,8,16"],                   # repeated sizes
+        ["interlace", "--sizes", "8,4,8"],
     ])
     def test_bad_sizes_usage_error(self, tmp_path, capsys, argv):
         # checked before any trial runs: exit 1 with a message naming the sizes, no files
@@ -249,6 +251,22 @@ class TestExperimentCommand:
         assert err.startswith("circulab: error:") and f"sizes [{sizes}]" in err
         assert err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", ["sigmin", "sigmax", "kappa", "rect", "interlace"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_resample_singular_only_for_table1(self, tmp_path, capsys, kind, via):
+        # only table1 redraws; set by flag or by a config key, the others exit 1 and write nothing
+        out = tmp_path / "out"
+        argv = ["experiment", kind, "--dist", "rademacher", "--sizes", "4", "--trials", "3"]
+        if via == "flag":
+            argv.append("--resample-singular")
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"resample_singular": True}))
+            argv = ["--config", str(config), *argv]
+        assert dispatch(["--out", str(out), *argv]) == EXIT_USAGE
+        assert "resample_singular is for table1 only" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_size_one_still_runs(self, tmp_path):
         for kind in ("sigmin", "rect", "interlace"):

@@ -393,6 +393,17 @@ class TestSigmaMinTail:
         with pytest.raises(ValueError):
             cfg(experiment="sigmin", sizes=(16,), rho=0.3)
 
+    def test_repeated_sizes_rejected(self):
+        with pytest.raises(ValueError, match=r"distinct sizes, got sizes \[16, 8, 16\]"):
+            run_sigma_min_tail(cfg(experiment="sigmin", sizes=(16, 8, 16), trials=5))
+
+    def test_resample_singular_rejected(self):
+        # only table1 redraws; the tail kinds record every draw
+        config = cfg(experiment="sigmin", sizes=(4,), distribution=Distribution("rademacher"),
+                     resample_singular=True)
+        with pytest.raises(ValueError, match="table1 only"):
+            run_sigma_min_tail(config)
+
 
 class TestConditionNumber:
     def test_shares_the_sigma_min_kernel(self):
@@ -466,6 +477,11 @@ class TestInterlacingSuite:
         assert res.cauchy_checked == 8
         assert set(res.margin_summaries) == {"a", "b", "c"}
         assert res.margin_summaries["a"].minimum >= 0.0
+
+    def test_repeated_sizes_rejected(self):
+        # one Cauchy check per distinct trial: a repeated size would count its checks twice
+        with pytest.raises(ValueError, match=r"distinct sizes, got sizes \[8, 4, 8\]"):
+            run_interlacing_suite(cfg(experiment="interlace", sizes=(8, 4, 8), trials=10))
 
     def test_rademacher_singulars_counted(self):
         config = cfg(experiment="interlace", sizes=(2,), trials=120,

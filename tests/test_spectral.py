@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy
@@ -332,6 +334,12 @@ class TestSchurBlock:
         with pytest.raises(SingularEmbeddingError) as exc_info:
             build_schur_block(circ(row))
         assert exc_info.value.index == 3
+
+    def test_singular_embedding_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(SingularEmbeddingError(3, 1e-20)))
+        assert type(err) is SingularEmbeddingError
+        assert (err.index, err.magnitude) == (3, 1e-20)
+        assert str(err) == str(SingularEmbeddingError(3, 1e-20))
 
     def test_alternating_row_singular_at_zero(self):
         # alternating +-1: G vanishes at every root except -1, first at k = 0
