@@ -18,10 +18,11 @@ import dataclasses
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.special import ndtri
@@ -115,7 +116,7 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Distribution":
-        return cls(d["kind"], float(d.get("scale", 1.0)), float(d.get("shift", 0.0)))
+        return _from_json(cls, d, "distribution")
 
 
 def trial_stream(master_seed: int, *key: int) -> tuple[np.random.Generator, int]:
@@ -127,12 +128,13 @@ def trial_stream(master_seed: int, *key: int) -> tuple[np.random.Generator, int]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a run needs; flags echo into outputs minus runtime fields."""
+    """Everything a run needs, and the one list of config keys, defaults and types;
+    :meth:`science_dict` echoes every field but the runtime ``workers``."""
 
     experiment: str
-    distribution: Distribution
-    trials: int
-    master_seed: int
+    distribution: Distribution = Distribution("normal")
+    trials: int = 100
+    master_seed: int = 0
     n: int = 0                       # single-dimension experiments (table1: the 2n value)
     sizes: tuple[int, ...] = ()      # multi-dimension tail experiments
     epsilon: float = 1.0
@@ -166,26 +168,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        dist = d["distribution"]
-        if isinstance(dist, str):
-            dist = {"kind": dist}
-        return cls(
-            experiment=d["experiment"],
-            distribution=Distribution.from_dict(dist),
-            trials=int(d["trials"]),
-            master_seed=int(d["master_seed"]),
-            n=int(d.get("n", 0)),
-            sizes=tuple(int(s) for s in d.get("sizes", ())),
-            epsilon=float(d.get("epsilon", 1.0)),
-            epsilons=tuple(float(e) for e in d.get("epsilons", ())),
-            rho=float(d.get("rho", 0.2)),
-            symmetric=bool(d.get("symmetric", False)),
-            xi_star_mode=d.get("xi_star_mode", "random"),
-            xi_star_value=float(d.get("xi_star_value", 0.0)),
-            oversampling=int(d.get("oversampling", 64)),
-            resample_singular=bool(d.get("resample_singular", False)),
-            workers=int(d.get("workers", 1)),
-        )
+        """The config a JSON object describes: the schema of :meth:`science_dict` plus ``workers``."""
+        return _from_json(cls, d, "config")
+
+
+_FIELD_TYPES = {cls: get_type_hints(cls) for cls in (Distribution, ExperimentConfig)}
+
+
+def _from_json(cls, d, what: str):
+    """Dataclass ``cls`` from a JSON object keyed by its field names; numbers convert to
+    the field's type, and unknown or missing keys and mistyped values raise ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} is a JSON object, not {d!r}")
+    types = _FIELD_TYPES[cls]
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; known keys {list(types)}")
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"{what} needs the keys {missing}")
+    return cls(**{key: _as_field(f"{what} key {key!r}", types[key], value) for key, value in d.items()})
+
+
+def _as_field(where: str, hint, value):
+    """``value`` as the field type ``hint``: strings and bools must already have it."""
+    if get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        return tuple(_as_field(where, get_args(hint)[0], v) for v in value)
+    if hint is Distribution and isinstance(value, (str, dict)):
+        return Distribution(value) if isinstance(value, str) else Distribution.from_dict(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if hint is float or (hint is int and (isinstance(value, int) or value.is_integer())):
+            with suppress(OverflowError):  # an integer beyond the float range
+                return hint(value)
+    elif type(value) is hint:  # str and bool
+        return value
+    name = f"a list of {get_args(hint)[0].__name__}" if get_origin(hint) is tuple else hint.__name__
+    raise ValueError(f"{where} needs {name}, got {value!r}")
 
 
 @dataclass(frozen=True)

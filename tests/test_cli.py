@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from circulab import spectral
+from circulab import experiments, spectral
 from circulab.arithmetic import gcd_census
 from circulab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
 
@@ -134,6 +134,50 @@ class TestExperimentCommand:
         assert data["config"]["master_seed"] == 42
         assert data["summary"]["count"] == 10
 
+    @pytest.mark.parametrize("kind, sizes, files, stdout", [
+        ("table1", ["--two-n", "8"], ["table1_normal_trials.csv"],
+         "table1 normal 2n=8: mean sigmin_S=0.475953 "
+         "(0 singular, 0 fallback, 0 structured-fallback)\n"),
+        ("sigmax", ["--sizes", "4,6"],
+         ["sigmax_normal_n4_trials.csv", "sigmax_normal_n6_trials.csv", "sigmax_normal_ratios.csv"],
+         "sigmax normal: fitted C0=1.9953\n"),
+        ("sigmin", ["--sizes", "4,6", "--eps-grid", "0.5,1"],
+         ["sigmin_normal_n4_trials.csv", "sigmin_normal_n6_trials.csv"],
+         "sigmin normal n=4 eps=0.5: P=0.0000 [0.0000, 0.5615]\n"
+         "sigmin normal n=4 eps=1: P=0.3333 [0.0615, 0.7923]\n"
+         "sigmin normal n=6 eps=0.5: P=0.3333 [0.0615, 0.7923]\n"
+         "sigmin normal n=6 eps=1: P=1.0000 [0.4385, 1.0000]\n"),
+        ("kappa", ["--sizes", "4,6"],
+         ["kappa_normal_n4_trials.csv", "kappa_normal_n6_trials.csv"],
+         "kappa normal: fitted C0=2.0094\n"),
+        ("rect", ["--sizes", "3,4"], ["rect_normal_n3_trials.csv", "rect_normal_n4_trials.csv"],
+         "rect normal: 0 clause violations\n"),
+        ("interlace", ["--sizes", "3,4"],
+         ["interlace_normal_n3_trials.csv", "interlace_normal_n4_trials.csv"],
+         "interlace normal: 0 violations, 0 singular embeddings, cauchy 0/6 failures\n"),
+    ])
+    def test_every_kind_files_line_and_exit(self, tmp_path, capsys, kind, sizes, files, stdout):
+        code = run(tmp_path, "experiment", kind, *sizes, "--trials", "3", "--seed", "5")
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == stdout
+        want = sorted([*files, f"{kind}_normal_summary.json"])
+        assert sorted(f.name for f in tmp_path.iterdir()) == want
+
+    def test_cli_reaches_experiments_through_module_attributes(self, tmp_path, monkeypatch):
+        # the benchmark's trace spans wrap these attributes, so the CLI must look them up per call
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("run_sigma_min_tail", "trials_to_csv"):
+            monkeypatch.setattr(experiments, name, counting(name, getattr(experiments, name)))
+        assert run(tmp_path, "experiment", "sigmin", "--sizes", "4,6", "--trials", "3") == EXIT_OK
+        assert calls == ["run_sigma_min_tail", "trials_to_csv", "trials_to_csv"]
+
     def test_same_argv_identical_outputs(self, tmp_path):
         argv = ["experiment", "sigmin", "--dist", "normal", "--sizes", "16",
                 "--trials", "20", "--seed", "7", "--rho", "0.2"]
@@ -164,6 +208,46 @@ class TestExperimentCommand:
         t1 = (run1 / "table1_uniform_trials.csv").read_bytes()
         t2 = (run2 / "table1_uniform_trials.csv").read_bytes()
         assert t1 == t2
+
+    def test_unknown_config_key_usage_error(self, tmp_path, capsys):
+        # a typo must not silently fall back to the default (100 trials here)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"trails": 5, "n": 8}))
+        out = tmp_path / "out"
+        assert dispatch(["--out", str(out), "--config", str(config),
+                         "experiment", "table1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("circulab: error: unknown config keys ['trails']")
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("config, flags", [
+        ([1, 2], []),
+        ({"sizes": 5}, []),
+        ({"distribution": 5}, []),
+        ({"distribution": {"scale": 2.0}}, []),
+        ({"distribution": {"kind": "normal", "sclae": 2.0}}, []),
+        ({"symmetric": "false"}, []),
+        ({"trials": "x"}, []),
+        ({"trials": 2.5}, []),
+        ({"epsilon": 10**400}, []),
+        (None, ["--sizes", "4", "--trials", "2", "--xi-star", "fixed"]),
+        (None, ["--sizes", "4", "--trials", "2", "--xi-star", "bogus"]),
+    ])
+    def test_mistyped_config_usage_error(self, tmp_path, capsys, config, flags):
+        # one error line, no traceback and no files; sizes and trials are valid unless mistyped
+        if isinstance(config, dict):
+            config = {"sizes": [4], "trials": 2, **config}
+        top = []
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            top = ["--config", str(path)]
+        out = tmp_path / "out"
+        argv = ["--out", str(out), *top, "experiment", "sigmin", *flags]
+        assert dispatch(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("circulab: error:") and err.count("\n") == 1
+        assert not list(out.iterdir())
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_path = tmp_path / "c.json"

@@ -529,7 +529,21 @@ class TestExports:
         assert json.loads(p1.read_text()) == payload
 
     def test_config_roundtrip(self):
-        config = cfg(experiment="table1", n=64, trials=5,
-                     distribution=Distribution("uniform"), epsilons=(0.5, 1.0))
-        back = ExperimentConfig.from_dict(config.science_dict())
-        assert back.science_dict() == config.science_dict()
+        for fields in [
+            dict(experiment="table1", n=64, trials=5, distribution=Distribution("uniform"),
+                 epsilons=(0.5, 1.0)),
+            dict(experiment="table1", n=16, resample_singular=True),
+            dict(experiment="sigmax", sizes=(8, 16), oversampling=0),
+            dict(experiment="sigmin", sizes=(16,), rho=0.1, epsilons=(0.25, 0.5, 1.0)),
+            dict(experiment="sigmin", sizes=(16, 32), symmetric=True, epsilon=2.0),
+            dict(experiment="kappa", sizes=(8, 16), distribution=Distribution("rademacher")),
+            dict(experiment="rect", sizes=(4,), xi_star_mode="fixed", xi_star_value=0.5),
+            dict(experiment="interlace", sizes=(4, 8),
+                 distribution=Distribution("bernoulli", 2.0, -1.0)),
+        ]:
+            config = cfg(**fields)
+            echo = config.science_dict()
+            back = ExperimentConfig.from_dict(json.loads(json.dumps(echo)))
+            assert back == config and back.science_dict() == echo
+        # a JSON integer in a float field echoes as a float
+        assert repr(ExperimentConfig.from_dict({**echo, "epsilon": 1}).epsilon) == "1.0"
