@@ -74,7 +74,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--row", type=_parse_floats, help="first row, comma separated")
     sp.add_argument("--symmetric", action="store_true",
-                    help="treat --row as the free coefficients of a symmetric circulant")
+                    help="--row, or the n//2+1 draws of --dist, are the free coefficients "
+                         "of a symmetric circulant")
     sp.add_argument("--dist", choices=experiments.DISTRIBUTION_KINDS)
     sp.add_argument("--seed", type=int, default=0)
 
@@ -137,7 +138,8 @@ def build_parser() -> _Parser:
                     help="sigmax grid factor K > 4 for the certified sup-norm bracket "
                          "(default 64); 0 skips the bracket and fits sigma_max/sqrt(n log n)")
     ex.add_argument("--workers", type=int,
-                    help="trial threads, at least 1 (default 1); BLAS runs on one thread")
+                    help="trial processes (fork), at least 1 (default 1: in-process); "
+                         "BLAS runs on one thread")
     ex.add_argument("--resample-singular", action="store_true", default=None,
                     dest="resample_singular")
 
@@ -148,23 +150,26 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _coefficients(args, given, size: int | None, usage: str):
-    """The coefficients ``given`` on the command line, else ``size`` draws of
-    ``--dist`` from trial stream 0 of ``--seed``; None, after printing ``usage``, if neither."""
+def _coefficients(args, given, size: int | None, usage: str, draws: int | None = None):
+    """The coefficients ``given`` on the command line, else ``draws`` (default ``size``)
+    draws of ``--dist`` from trial stream 0 of ``--seed`` at ``size``; None, after
+    printing ``usage``, if neither."""
     if given is not None:
         return given
     if args.dist and size:
         gen, _ = experiments.trial_stream(args.seed, size, 0)
-        return experiments.Distribution(args.dist).sample(gen, size)
+        return experiments.Distribution(args.dist).sample(gen, draws or size)
     print(usage, file=sys.stderr)
     return None
 
 
 def _cmd_spectrum(args, out: Path) -> int:
-    row = _coefficients(args, args.row, args.n, "spectrum needs --row or (--dist and --n)")
+    # a symmetric draw is that of trial 0 of `experiment sigmin --symmetric --sizes N`
+    free = args.n // 2 + 1 if args.symmetric and args.n else None
+    row = _coefficients(args, args.row, args.n, "spectrum needs --row or (--dist and --n)", free)
     if row is None:
         return EXIT_USAGE
-    if args.symmetric and args.row is not None:
+    if args.symmetric:
         n = args.n or (2 * (len(row) - 1))
         spec = matrices.SymmetricCirculantSpec(n, matrices.CoefficientSequence(row))
         eigs = spectral.symmetric_circulant_eigenvalues(spec).astype(complex)

@@ -3,12 +3,12 @@
 Every experiment is a per-trial kernel, one shared runner and a reducer.  The
 kernel measures one draw.  The runner checks the sizes, keys trial t at
 dimension n to a counter-based Philox stream (``trial_stream(master_seed, n,
-t)``), redraws singular draws when asked, and fans trials out over
-``workers`` threads under :func:`spectral.single_blas_thread`; records are
-therefore bit-identical for any worker and BLAS thread count and can be
-replayed one by one.  The reducer turns the records into the summary fields
-of one :class:`ExperimentResult`.  Gaussian draws use the inverse CDF on
-53-bit uniforms in (0, 1); there is no rejection state.
+t)``), and fans trials out over ``workers`` processes (fork) under
+:func:`spectral.single_blas_thread`; records are therefore bit-identical for
+any worker and BLAS thread count and can be replayed one by one.  The
+reducer turns the records into the summary fields of one
+:class:`ExperimentResult`.  Gaussian draws use the inverse CDF on 53-bit
+uniforms in (0, 1); there is no rejection state.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import csv
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -154,6 +155,11 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.experiment == "sigmin" and not self.symmetric and not 0.0 < self.rho < 0.25:
             raise ValueError("sigma-min tail experiment needs rho in (0, 1/4)")
+        if not all(math.isfinite(eps) and eps >= 0 for eps in (self.epsilon, *self.epsilons)):
+            raise ValueError(f"epsilon and epsilons need finite values >= 0, got "
+                             f"{self.epsilon!r} and {list(self.epsilons)!r}")
+        if self.experiment == "kappa" and not self.epsilon > 0:
+            raise ValueError(f"kappa needs epsilon > 0, got {self.epsilon!r}")
         if self.xi_star_mode not in ("random", "fixed"):
             raise ValueError("xi_star_mode must be 'random' or 'fixed'")
         if self.oversampling != 0 and self.oversampling <= 4:
@@ -353,27 +359,12 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 # the shared runner: kernel -> runner -> reducer
 
-_MAX_RESAMPLES = 64
-
-
-class _SingularDraw(Exception):
-    """Raised by a kernel on a singular draw; ``args[0]`` holds the record fields to keep."""
-
 
 def _trial(config: ExperimentConfig, kernel: Callable, n: int, t: int) -> tuple[TrialRecord, object]:
-    """Trial t at dimension n, redrawn after a singular draw when resampling is on."""
+    """Trial t at dimension n: draw its stream, run the kernel, record the fields."""
     gen, seed = trial_stream(config.master_seed, n, t)
-    for attempt in range(_MAX_RESAMPLES + 1):
-        try:
-            values, extra = kernel(gen, n, t, config)
-        except _SingularDraw as draw:
-            if config.resample_singular and attempt < _MAX_RESAMPLES:
-                gen, _ = trial_stream(config.master_seed, n, t, attempt + 1)
-                continue
-            return TrialRecord(t, seed, **draw.args[0]), None
-        if attempt:
-            values["flags"] = (f"resampled-{attempt}",) + values["flags"]
-        return TrialRecord(t, seed, **values), extra
+    values, extra = kernel(gen, n, t, config)
+    return TrialRecord(t, seed, **values), extra
 
 
 def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Callable,
@@ -382,11 +373,10 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
 
     Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``; they
     must be distinct, and they and the resampling flag (table1 only) are
-    checked before any trial runs.  ``kernel(gen, n, t, config)``
-    returns the record fields of trial t and an extra for the reducer; a
-    singular draw it raises is redrawn from ``trial_stream(master_seed, n, t,
-    attempt)`` when the config asks for resampling.  Trials fan out over
-    ``config.workers`` threads with OpenBLAS on one thread, and
+    checked before any trial runs.  ``kernel(gen, n, t, config)`` returns the
+    record fields of trial t and an extra for the reducer.  With OpenBLAS on
+    one thread, trials run in this process for one worker and otherwise in
+    a pool of ``config.workers`` forked processes, which inherit that pin;
     ``reduce(config, sizes, records, extras)`` returns the summary fields.
     """
     sizes = sizes or config.sizes or ((config.n,) if config.n else ())
@@ -399,8 +389,12 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
     if config.resample_singular and experiment != "table1":
         raise ValueError(f"{experiment} never redraws a singular draw; "
                          "resample_singular is for table1 only")
-    with single_blas_thread(), ThreadPoolExecutor(config.workers) as pool:
-        fan_out = pool.map if config.workers > 1 else map  # the pool starts no thread until used
+    with single_blas_thread(), ExitStack() as stack:
+        fan_out = map
+        if config.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                config.workers, mp_context=multiprocessing.get_context("fork")))
+            fan_out = partial(pool.map, chunksize=-(-config.trials // (4 * config.workers)))
         trials = {n: list(fan_out(partial(_trial, config, kernel, n), range(config.trials)))
                   for n in sizes}
     records = {n: tuple(rec for rec, _ in out) for n, out in trials.items()}
@@ -433,22 +427,31 @@ def _point(n: int, epsilon: float, k: int, total: int) -> TailPoint:
 # ---------------------------------------------------------------------------
 # Table-1 experiment: sigma_min of the Schur block at dimension 2n
 
+_MAX_RESAMPLES = 64
+
 
 def _table1_trial(gen, big_n, t, config):
-    row = config.distribution.sample(gen, big_n)
-    lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
-    fields = _extremes(circulant_extremes(lam))
-    try:
-        res = schur_sigma_min(lam)
-    except SingularEmbeddingError:
-        raise _SingularDraw(dict(fields, flags=("singular-embedding",))) from None
-    fields["flags"] = tuple(flag for flag, on in (
-        ("structured-fallback", res.structured_fallback),
-        ("fallback-used", res.used_fallback),
-        ("exact-singular", res.singular),
-    ) if on)
-    fields["sigmin_s"] = big_n * res.value
-    return fields, None
+    """A singular draw is redrawn from ``trial_stream(master_seed, 2n, t, attempt)``
+    when resampling is on, at most ``_MAX_RESAMPLES`` times."""
+    for attempt in range(_MAX_RESAMPLES + 1 if config.resample_singular else 1):
+        if attempt:
+            gen, _ = trial_stream(config.master_seed, big_n, t, attempt)
+        row = config.distribution.sample(gen, big_n)
+        lam = circulant_eigenvalues(CirculantSpec(big_n, CoefficientSequence(row)))
+        fields = _extremes(circulant_extremes(lam))
+        try:
+            res = schur_sigma_min(lam)
+        except SingularEmbeddingError:
+            continue
+        fields["flags"] = tuple(flag for flag, on in (
+            (f"resampled-{attempt}", attempt > 0),
+            ("structured-fallback", res.structured_fallback),
+            ("fallback-used", res.used_fallback),
+            ("exact-singular", res.singular),
+        ) if on)
+        fields["sigmin_s"] = big_n * res.value
+        return fields, None
+    return dict(fields, flags=("singular-embedding",)), None
 
 
 def _table1_summary(config, sizes, records, extras):

@@ -6,8 +6,8 @@ dense matrices (T_n, C_2n and the Schur block S_n) are real ``float64``, and
 the dense routines accept real input only.
 
 Experiment runs enter :func:`single_blas_thread`, so their LAPACK results do
-not depend on the BLAS thread count and worker threads are the only source
-of parallelism.
+not depend on the BLAS thread count and worker processes (fork) are the only
+source of parallelism.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ def single_blas_thread():
 
     The builds (numpy's and scipy's, which keep separate thread pools) are
     found on first use through ``/proc/self/maps`` and cached.  Thread counts
-    are process-wide, so worker threads started inside the block run their
-    BLAS calls single-threaded too.  Where no build is found (another BLAS,
-    or no ``/proc``) the block runs unpinned and nothing is raised.
+    are process-wide and survive a fork, so worker processes forked inside
+    the block run their BLAS calls single-threaded too.  Where no build is
+    found (another BLAS, or no ``/proc``) the block runs unpinned and nothing
+    is raised.
     """
     builds = _openblas_builds()
     old = [b.get_threads() for b in builds]
@@ -180,7 +181,7 @@ class ConditionReport:
     singular: bool
 
 
-def circulant_extremes(eigenvalues: np.ndarray, singular_tolerance: float | None = None) -> ConditionReport:
+def circulant_extremes(eigenvalues: np.ndarray) -> ConditionReport:
     """Extremes from a circulant spectrum: normality gives sigma = |lambda|."""
     eigenvalues = np.asarray(eigenvalues)
     if eigenvalues.size == 0:
@@ -188,9 +189,7 @@ def circulant_extremes(eigenvalues: np.ndarray, singular_tolerance: float | None
     mags = np.abs(eigenvalues)
     smax = float(mags.max())
     smin = float(mags.min())
-    if singular_tolerance is None:
-        singular_tolerance = default_singular_tolerance(eigenvalues)
-    singular = smin <= singular_tolerance
+    singular = smin <= default_singular_tolerance(eigenvalues)
     kappa = np.inf if singular else smax / smin
     return ConditionReport(smax, smin, kappa, singular)
 
@@ -342,18 +341,15 @@ class SchurBlock:
     diag2: np.ndarray
 
 
-def _inverse_circulant_row(lam: np.ndarray,
-                           singular_tolerance: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_circulant_row(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reciprocal spectrum 1/lambda and the first row of C_2n^{-1}.
 
     The (i, j) entry of C_2n^{-1} is row[(j - i) mod 2n], so its trailing
     n x n block equals the leading one and is Toeplitz.  C_2n is real, so the
     row is real up to roundoff in its imaginary part, which is dropped.
     """
-    if singular_tolerance is None:
-        singular_tolerance = default_singular_tolerance(lam)
     mags = np.abs(lam)
-    bad = np.flatnonzero(mags <= singular_tolerance)
+    bad = np.flatnonzero(mags <= default_singular_tolerance(lam))
     if bad.size:
         k = int(bad[0])
         raise SingularEmbeddingError(k, float(mags[k]))
@@ -367,13 +363,13 @@ def _toeplitz_block(row: np.ndarray) -> np.ndarray:
     return row[(j[None, :] - j[:, None]) % row.size]
 
 
-def _schur_from_eigenvalues(lam: np.ndarray, singular_tolerance: float | None = None) -> SchurBlock:
+def _schur_from_eigenvalues(lam: np.ndarray) -> SchurBlock:
     n = lam.size // 2
-    weights, row = _inverse_circulant_row(lam, singular_tolerance)
+    weights, row = _inverse_circulant_row(lam)
     return SchurBlock(n, _toeplitz_block(row), weights[:n].copy(), weights[n:].copy())
 
 
-def build_schur_block(spec: CirculantSpec, singular_tolerance: float | None = None) -> SchurBlock:
+def build_schur_block(spec: CirculantSpec) -> SchurBlock:
     """Assemble S_n from the Fourier block partition of C_2n^{-1}.
 
     With F the unitary DFT matrix of size 2n partitioned into n x n blocks
@@ -384,12 +380,12 @@ def build_schur_block(spec: CirculantSpec, singular_tolerance: float | None = No
     checks the result against dense inversion.
 
     Raises :class:`SingularEmbeddingError` if any |G_2n(w^k)| is at or below
-    the tolerance (default ``1e-12 * 2n * max|lambda|``).
+    the tolerance ``1e-12 * 2n * max|lambda|``.
     """
     if spec.n % 2 != 0:
         raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
     lam = circulant_eigenvalues(spec)
-    return _schur_from_eigenvalues(lam, singular_tolerance)
+    return _schur_from_eigenvalues(lam)
 
 
 _GS_BACKWARD_TOL = 1e-12
@@ -531,13 +527,12 @@ def schur_sigma_min(lam: np.ndarray) -> SigmaMinResult:
     backward error ||S w - b|| / (||s|| ||w||) of at most 1e-12.
     Otherwise, or when Levinson raises ``LinAlgError``, the block is gathered
     and :func:`sigma_min_fast` (LU) answers, with ``structured_fallback`` set.
-    Raises :class:`SingularEmbeddingError` like :func:`build_schur_block` at
-    its default tolerance.
+    Raises :class:`SingularEmbeddingError` like :func:`build_schur_block`.
     """
     lam = np.asarray(lam)
     if lam.size < 2 or lam.size % 2 != 0:
         raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
-    weights, row = _inverse_circulant_row(lam, None)
+    weights, row = _inverse_circulant_row(lam)
     try:
         with np.errstate(all="ignore"):  # a failed Levinson shows up in the guard
             res = _structured_sigma_min(weights, row)

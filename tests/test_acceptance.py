@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 captured output).  The Table-1 reproduction dominates the runtime; the whole
-module took 59 s on two cores (measured 2026-10-19), 30 s of it Table 1.
+module took 18 s on two cores at ``WORKERS = 2`` (measured 2026-10-20), 8.5 s
+of it Table 1.
 """
 
 import math

@@ -37,6 +37,22 @@ class TestSpectrum:
         eigs = [complex(re, im) for re, im in data["eigenvalues"]]
         assert eigs == pytest.approx([8, -2, 0, -2], abs=1e-12)
 
+    def test_symmetric_draw_is_sigmin_trial_zero(self, tmp_path, capsys):
+        # --dist draws the n//2+1 free coefficients of trial 0 of `experiment sigmin --symmetric`
+        argv = ["--dist", "normal", "--seed", "3"]
+        assert dispatch(["--out", str(tmp_path), "--format", "json",
+                         "spectrum", "--symmetric", "--n", "6", *argv]) == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["eigenvalues"]) == 6
+        assert all(im == 0.0 for _, im in data["eigenvalues"])
+        assert run(tmp_path, "experiment", "sigmin", "--symmetric", "--sizes", "6",
+                   "--trials", "1", *argv) == EXIT_OK
+        rows = (tmp_path / "sigmin_normal_n6_trials.csv").read_text().splitlines()
+        trial0 = dict(zip(rows[1].split(","), rows[2].split(",")))
+        # the cosine formula and the experiment's FFT agree to roundoff
+        assert data["sigma_max"] == pytest.approx(float(trial0["sigma_max"]), rel=1e-12)
+        assert data["sigma_min"] == pytest.approx(float(trial0["sigma_min"]), rel=1e-12)
+
     def test_missing_args_usage_error(self, tmp_path):
         assert run(tmp_path, "spectrum") == EXIT_USAGE
 
@@ -232,6 +248,10 @@ class TestExperimentCommand:
         ({"epsilon": 10**400}, []),
         (None, ["--sizes", "4", "--trials", "2", "--xi-star", "fixed"]),
         (None, ["--sizes", "4", "--trials", "2", "--xi-star", "bogus"]),
+        ({"epsilon": math.nan}, []),
+        ({"epsilons": [0.5, math.inf]}, []),
+        (None, ["--sizes", "4", "--trials", "2", "--eps", "-1"]),
+        (None, ["--sizes", "4", "--trials", "2", "--eps", "nan"]),
     ])
     def test_mistyped_config_usage_error(self, tmp_path, capsys, config, flags):
         # one error line, no traceback and no files; sizes and trials are valid unless mistyped
@@ -244,6 +264,16 @@ class TestExperimentCommand:
             top = ["--config", str(path)]
         out = tmp_path / "out"
         argv = ["--out", str(out), *top, "experiment", "sigmin", *flags]
+        assert dispatch(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("circulab: error:") and err.count("\n") == 1
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("eps", ["0", "nan"])
+    def test_kappa_epsilon_usage_error(self, tmp_path, capsys, eps):
+        # the fitted constant is divided by epsilon
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "experiment", "kappa", "--sizes", "4", "--trials", "2", "--eps", eps]
         assert dispatch(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("circulab: error:") and err.count("\n") == 1
@@ -280,9 +310,11 @@ class TestExperimentCommand:
         for summary in data["margin_summaries"].values():
             assert sum(b["count"] for b in summary["bins"]) == summary["count"]
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys, nonconverging_dgejsv):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_numerical_failure_exit_code(self, tmp_path, capsys, nonconverging_dgejsv, workers):
+        # a forked worker inherits the stand-in; its ConvergenceError reaches the CLI pickled
         code = run(tmp_path, "experiment", "rect", "--dist", "normal",
-                   "--sizes", "4", "--trials", "2", "--seed", "2")
+                   "--sizes", "4", "--trials", "2", "--seed", "2", "--workers", workers)
         assert code == EXIT_NUMERICAL == 3
         err = capsys.readouterr().err
         assert err.startswith("circulab: numerical failure:") and "8x4" in err

@@ -281,14 +281,21 @@ class TestDeterminism:
             assert len(blobs[1]) == len(sizes) + 1 + (kind == "sigmax")
             assert blobs[1] == blobs[4], kind
 
-    @staticmethod
-    def _cli_outputs(out, threads, *argv):
-        """Every output file of one CLI run in a subprocess under OPENBLAS_NUM_THREADS=threads."""
+    # the CLI, then the count of its child processes still alive
+    _CLI = ("import multiprocessing, sys; from circulab.cli import main\n"
+            "try: main()\n"
+            "finally: print(f'live children: {len(multiprocessing.active_children())}')")
+
+    @classmethod
+    def _cli_outputs(cls, out, threads, *argv):
+        """Every output file of one CLI run in a subprocess under OPENBLAS_NUM_THREADS=threads;
+        no worker process may outlive the run."""
         src = str(Path(circulab.__file__).resolve().parent.parent)
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-m", "circulab.cli", "--out", str(out), *argv],
-                       env=env, check=True, capture_output=True, timeout=300)
+        proc = subprocess.run([sys.executable, "-c", cls._CLI, "--out", str(out), *argv],
+                              env=env, check=True, capture_output=True, timeout=300)
+        assert proc.stdout.endswith(b"live children: 0\n")
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     def test_table1_bytes_independent_of_blas_threads(self, tmp_path):
@@ -306,15 +313,18 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kind,dist", [("rect", "normal"), ("interlace", "rademacher")])
     def test_lapack_bytes_independent_of_blas_threads(self, tmp_path, kind, dist):
-        # dgejsv on 512-column matrices threads unless the run pins OpenBLAS
+        # dgejsv on 512-column matrices threads unless the run pins OpenBLAS; the
+        # worker processes must be forked after the pin to inherit it
         blobs = {
-            threads: self._cli_outputs(
-                tmp_path / f"t{threads}", threads, "experiment", kind, "--dist", dist,
-                "--sizes", "512", "--trials", "2", "--seed", "3")
-            for threads in ("1", "2")
+            (threads, workers): self._cli_outputs(
+                tmp_path / f"t{threads}w{workers}", threads, "experiment", kind, "--dist", dist,
+                "--sizes", "512", "--trials", "2", "--seed", "3", "--workers", workers)
+            for threads, workers in (("1", "1"), ("2", "1"), ("2", "2"))
         }
-        assert sorted(blobs["1"]) == sorted([f"{kind}_{dist}_n512_trials.csv", f"{kind}_{dist}_summary.json"])
-        assert blobs["1"] == blobs["2"]
+        first = blobs["1", "1"]
+        assert sorted(first) == sorted([f"{kind}_{dist}_n512_trials.csv", f"{kind}_{dist}_summary.json"])
+        assert blobs["2", "1"] == first
+        assert blobs["2", "2"] == first
 
     def test_rerun_identical(self, tmp_path):
         blobs = []

@@ -387,7 +387,7 @@ class TestStructuredSchurKernel:
         for t in range(8):
             lam = _table1_spectrum(kind, 31, two_n, t)
             try:
-                weights, _ = _inverse_circulant_row(lam, None)
+                weights, _ = _inverse_circulant_row(lam)
             except SingularEmbeddingError:
                 continue
             s = _schur_from_eigenvalues(lam).matrix
