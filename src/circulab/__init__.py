@@ -72,6 +72,7 @@ from .spectral import (
     cauchy_interlacing_check,
     circulant_eigenvalues,
     circulant_extremes,
+    circulant_extremes_rows,
     dense_svd,
     schur_block_oracle,
     schur_sigma_min,

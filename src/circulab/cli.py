@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -394,8 +395,14 @@ def _blas_state(command: str) -> str:
     return f"BLAS {'pinned' if pinned else 'unpinned'}: {builds}"
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`build_parser`, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

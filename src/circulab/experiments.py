@@ -1,14 +1,18 @@
 """Seeded, reproducible Monte Carlo experiments over the four benchmark laws.
 
-Every experiment is a per-trial kernel, one shared runner and a reducer.  The
-kernel measures one draw.  The runner checks the sizes, keys trial t at
-dimension n to a counter-based Philox stream (``trial_stream(master_seed, n,
-t)``), and fans trials out over ``workers`` processes (fork) under
-:func:`spectral.single_blas_thread`; records are therefore bit-identical for
-any worker and BLAS thread count and can be replayed one by one.  The
-reducer turns the records into the summary fields of one
-:class:`ExperimentResult`.  Gaussian draws use the inverse CDF on 53-bit
-uniforms in (0, 1); there is no rejection state.
+Every experiment is a block kernel, one shared runner and a reducer.  The
+runner checks the sizes, keys trial t at dimension n to a counter-based
+Philox stream (``trial_stream(master_seed, n, t)``), cuts each size's trials
+into blocks of consecutive trials, and fans the blocks out over ``workers``
+processes (fork) under :func:`spectral.single_blas_thread`.  The kernel
+measures the draws of one block: sigmin, kappa and sigmax draw every trial's
+row from its own stream into one array and take the block's half spectra in
+one FFT call; table1, rect and interlace measure one draw at a time.  No
+record depends on its block, so records are bit-identical for any worker and
+BLAS thread count and can be replayed one by one.  The reducer turns the
+records into the summary fields of one :class:`ExperimentResult`.  Gaussian
+draws use the inverse CDF on 53-bit uniforms in (0, 1); there is no
+rejection state.
 """
 
 from __future__ import annotations
@@ -31,10 +35,8 @@ from scipy.special import ndtri
 from .matrices import (
     CirculantSpec,
     CoefficientSequence,
-    SymmetricCirculantSpec,
     ToeplitzSpec,
     embed_toeplitz,
-    expand_symmetric_circulant,
     materialize_circulant,
 )
 from .polynomials import TrigPolynomial, max_modulus, salem_zygmund_ratio
@@ -43,6 +45,7 @@ from .spectral import (
     cauchy_interlacing_check,
     circulant_eigenvalues,
     circulant_extremes,
+    circulant_extremes_rows,
     dense_svd,
     schur_sigma_min,
     single_blas_thread,
@@ -91,8 +94,18 @@ class Distribution:
             raise ValueError(f"unknown distribution {self.kind!r}; choose from {DISTRIBUTION_KINDS}")
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws of this law from ``gen``: :meth:`transform` of :meth:`draw`."""
+        return self.transform(self.draw(gen, size))
+
+    @staticmethod
+    def draw(gen: np.random.Generator, size: int) -> np.ndarray:
+        """The ``int64`` 53-bit integers behind ``size`` draws of any law."""
+        return gen.integers(0, 1 << 53, size=size)
+
+    def transform(self, bits: np.ndarray) -> np.ndarray:
+        """This law's values of the 53-bit integers ``bits``, elementwise for any shape."""
         # 53-bit uniforms strictly inside (0, 1): safe for the inverse CDF.
-        u = (gen.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
+        u = (bits + 0.5) * 2.0**-53
         if self.kind == "bernoulli":
             x = np.where(u < 0.5, 1.0, 0.0)
         elif self.kind == "rademacher":
@@ -360,23 +373,37 @@ def _jsonable(value):
 # the shared runner: kernel -> runner -> reducer
 
 
-def _trial(config: ExperimentConfig, kernel: Callable, n: int, t: int) -> tuple[TrialRecord, object]:
-    """Trial t at dimension n: draw its stream, run the kernel, record the fields."""
-    gen, seed = trial_stream(config.master_seed, n, t)
-    values, extra = kernel(gen, n, t, config)
-    return TrialRecord(t, seed, **values), extra
+_BLOCK_COEFFS = 1 << 14  # trials of size n per block: at most max(1, _BLOCK_COEFFS // n)
+
+
+def _block(config: ExperimentConfig, kernel: Callable, n: int,
+           block: range) -> list[tuple[TrialRecord, object]]:
+    """The trials ``block`` at dimension n: draw their streams, run the kernel, record the fields."""
+    streams = [trial_stream(config.master_seed, n, t) for t in block]
+    out = kernel([gen for gen, _ in streams], n, block, config)
+    return [(TrialRecord(t, seed, **fields), extra)
+            for t, (_, seed), (fields, extra) in zip(block, streams, out, strict=True)]
+
+
+def _each_trial(trial_kernel: Callable, gens, n, block, config) -> list[tuple[dict, object]]:
+    """Block kernel over a per-trial ``trial_kernel(gen, n, t, config)``."""
+    return [trial_kernel(gen, n, t, config) for gen, t in zip(gens, block)]
 
 
 def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Callable,
          min_size: int = 1, sizes: tuple[int, ...] = ()) -> ExperimentResult:
-    """Check the sizes, run every trial of every size, and reduce the records.
+    """Check the sizes, run every trial of every size in blocks, and reduce the records.
 
     Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``; they
     must be distinct, and they and the resampling flag (table1 only) are
-    checked before any trial runs.  ``kernel(gen, n, t, config)`` returns the
-    record fields of trial t and an extra for the reducer.  With OpenBLAS on
-    one thread, trials run in this process for one worker and otherwise in
+    checked before any trial runs.  ``kernel(gens, n, block, config)`` gets
+    the generators of a block of consecutive trials and returns, in trial
+    order, each trial's record fields and an extra for the reducer.  A block
+    holds at most ``max(1, _BLOCK_COEFFS // n)`` trials.  With OpenBLAS on
+    one thread, blocks run in this process for one worker and otherwise in
     a pool of ``config.workers`` forked processes, which inherit that pin;
+    there a block holds at most a quarter of a worker's share of the trials,
+    and each pool task about a quarter of its share of the blocks.
     ``reduce(config, sizes, records, extras)`` returns the summary fields.
     """
     sizes = sizes or config.sizes or ((config.n,) if config.n else ())
@@ -389,14 +416,20 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
     if config.resample_singular and experiment != "table1":
         raise ValueError(f"{experiment} never redraws a singular draw; "
                          "resample_singular is for table1 only")
+    share = -(-config.trials // (4 * config.workers)) if config.workers > 1 else config.trials
+    trials = {}
     with single_blas_thread(), ExitStack() as stack:
-        fan_out = map
+        pool = None
         if config.workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(
                 config.workers, mp_context=multiprocessing.get_context("fork")))
-            fan_out = partial(pool.map, chunksize=-(-config.trials // (4 * config.workers)))
-        trials = {n: list(fan_out(partial(_trial, config, kernel, n), range(config.trials)))
-                  for n in sizes}
+        for n in sizes:
+            step = min(max(1, _BLOCK_COEFFS // n), share)
+            blocks = [range(b, min(b + step, config.trials)) for b in range(0, config.trials, step)]
+            fan_out = map if pool is None else partial(
+                pool.map, chunksize=-(-len(blocks) // (4 * config.workers)))
+            trials[n] = [out for block in fan_out(partial(_block, config, kernel, n), blocks)
+                         for out in block]
     records = {n: tuple(rec for rec, _ in out) for n, out in trials.items()}
     extras = {n: [extra for _, extra in out] for n, out in trials.items()}
     return ExperimentResult(experiment=experiment, config=config.science_dict(), records=records,
@@ -480,29 +513,40 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """
     if config.n < 2 or config.n % 2 != 0:
         raise ValueError(f"table1 needs an even dimension 2n >= 2, got {config.n}")
-    return _run("table1", config, _table1_trial, _table1_summary, sizes=(config.n,))
+    return _run("table1", config, partial(_each_trial, _table1_trial), _table1_summary,
+                sizes=(config.n,))
 
 
 # ---------------------------------------------------------------------------
 # circulant tails across dimensions: sigma_max, sigma_min and kappa
 
 
-def _draw_circulant(config: ExperimentConfig, gen: np.random.Generator, n: int) -> CirculantSpec:
-    """The trial circulant, symmetric when requested."""
-    if config.symmetric:
-        free = config.distribution.sample(gen, n // 2 + 1)
-        return expand_symmetric_circulant(SymmetricCirculantSpec(n, CoefficientSequence(free)))
-    return CirculantSpec(n, CoefficientSequence(config.distribution.sample(gen, n)))
+def _circulant_rows(config: ExperimentConfig, gens, n: int) -> np.ndarray:
+    """One trial circulant's first row per generator, symmetric when requested: each
+    trial's 53-bit integers fill one row of a block, which the law transforms at once."""
+    width = n // 2 + 1 if config.symmetric else n
+    bits = np.empty((len(gens), width), dtype=np.int64)
+    for row, gen in zip(bits, gens):
+        row[:] = Distribution.draw(gen, width)
+    rows = config.distribution.transform(bits)
+    if config.symmetric:  # xi_j = xi_{n-j}: column j takes free coefficient min(j, n - j)
+        j = np.arange(n)
+        rows = rows[:, np.minimum(j, n - j)]
+    return rows
 
 
-def _sigmax_trial(gen, n, t, config):
-    spec = _draw_circulant(config, gen, n)
-    fields = _extremes(circulant_extremes(circulant_eigenvalues(spec)))
-    if config.oversampling:
-        bracket = max_modulus(TrigPolynomial(spec.first_row, symmetric=config.symmetric),
-                              config.oversampling)
-        fields["ratio_lower"], fields["ratio_upper"] = salem_zygmund_ratio(bracket, n)
-    return fields, None
+def _sigmax_block(gens, n, block, config):
+    """Extremes from the block's half spectra; the sup-norm bracket per row, without flags."""
+    rows = _circulant_rows(config, gens, n)
+    out = []
+    for row, rep in zip(rows, circulant_extremes_rows(rows)):
+        fields = _extremes(rep)
+        if config.oversampling:
+            poly = TrigPolynomial(CoefficientSequence(row), symmetric=config.symmetric)
+            fields["ratio_lower"], fields["ratio_upper"] = salem_zygmund_ratio(
+                max_modulus(poly, config.oversampling), n)
+        out.append((fields, None))
+    return out
 
 
 def _sigmax_summary(config, sizes, records, extras):
@@ -528,12 +572,13 @@ def run_sigma_max_tail(config: ExperimentConfig) -> ExperimentResult:
     fitted constant is the 99th percentile at the smallest dimension and the
     tail points report how often larger dimensions exceed it.
     """
-    return _run("sigmax", config, _sigmax_trial, _sigmax_summary, min_size=2)
+    return _run("sigmax", config, _sigmax_block, _sigmax_summary, min_size=2)
 
 
-def _circulant_trial(gen, n, t, config):
-    rep = circulant_extremes(circulant_eigenvalues(_draw_circulant(config, gen, n)))
-    return _extremes(rep, ("singular-embedding",) if rep.singular else ()), None
+def _circulant_block(gens, n, block, config):
+    """Extremes from the block's half spectra, flagging singular draws."""
+    return [(_extremes(rep, ("singular-embedding",) if rep.singular else ()), None)
+            for rep in circulant_extremes_rows(_circulant_rows(config, gens, n))]
 
 
 def _sigmin_summary(config, sizes, records, extras):
@@ -555,7 +600,7 @@ def run_sigma_min_tail(config: ExperimentConfig) -> ExperimentResult:
     on the same fixed samples for every epsilon, so nested-event monotonicity
     holds exactly.
     """
-    return _run("sigmin", config, _circulant_trial, _sigmin_summary)
+    return _run("sigmin", config, _circulant_block, _sigmin_summary)
 
 
 def _kappa_summary(config, sizes, records, extras):
@@ -581,7 +626,7 @@ def run_condition_number(config: ExperimentConfig) -> ExperimentResult:
     smallest dimension; coverage points report how often the event
     kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) holds at each dimension.
     """
-    return _run("kappa", config, _circulant_trial, _kappa_summary, min_size=2)
+    return _run("kappa", config, _circulant_block, _kappa_summary, min_size=2)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +668,7 @@ def run_rectangular(config: ExperimentConfig) -> ExperimentResult:
     interlacing consequences sigma_1(A) <= sigma_max(C_2n) and
     sigma_n(A) >= sigma_min(C_2n).
     """
-    return _run("rect", config, _rect_trial, _rect_summary)
+    return _run("rect", config, partial(_each_trial, _rect_trial), _rect_summary)
 
 
 def _interlace_trial(gen, n, t, config, cauchy_trials):
@@ -666,7 +711,7 @@ def run_interlacing_suite(config: ExperimentConfig, cauchy_trials: int = 8) -> E
     12 columns.  Violations are expected to be zero; singular embeddings skip
     clause (c) and are counted separately.
     """
-    kernel = partial(_interlace_trial, cauchy_trials=cauchy_trials)
+    kernel = partial(_each_trial, partial(_interlace_trial, cauchy_trials=cauchy_trials))
     return _run("interlace", config, kernel, _interlace_summary)
 
 

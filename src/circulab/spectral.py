@@ -46,6 +46,7 @@ __all__ = [
     "circulant_eigenvalues",
     "symmetric_circulant_eigenvalues",
     "circulant_extremes",
+    "circulant_extremes_rows",
     "dense_svd",
     "sigma_min_fast",
     "schur_sigma_min",
@@ -138,9 +139,12 @@ def single_blas_thread():
             b.set_threads(count)
 
 
+_SINGULAR_RTOL = 1e-12
+
+
 def default_singular_tolerance(eigenvalues: np.ndarray) -> float:
     """Dimension-scaled cutoff separating exact zeros from roundoff: 1e-12 * n * max|lambda|."""
-    return 1e-12 * eigenvalues.size * float(np.max(np.abs(eigenvalues)))
+    return _SINGULAR_RTOL * eigenvalues.size * float(np.max(np.abs(eigenvalues)))
 
 
 def circulant_eigenvalues(spec: CirculantSpec) -> np.ndarray:
@@ -181,17 +185,35 @@ class ConditionReport:
     singular: bool
 
 
+def _reports(mags: np.ndarray, n: int) -> list[ConditionReport]:
+    """One report per row of ``mags``, the moduli of an n-point spectrum (or of its
+    half when the first row is real, since |lambda_{n-k}| = |lambda_k|)."""
+    smax, smin = mags.max(axis=1), mags.min(axis=1)
+    singular = smin <= _SINGULAR_RTOL * n * smax
+    kappa = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=~singular)
+    return [ConditionReport(*fields) for fields in zip(
+        smax.tolist(), smin.tolist(), kappa.tolist(), singular.tolist())]
+
+
 def circulant_extremes(eigenvalues: np.ndarray) -> ConditionReport:
     """Extremes from a circulant spectrum: normality gives sigma = |lambda|."""
     eigenvalues = np.asarray(eigenvalues)
     if eigenvalues.size == 0:
         raise ValueError("empty spectrum")
-    mags = np.abs(eigenvalues)
-    smax = float(mags.max())
-    smin = float(mags.min())
-    singular = smin <= default_singular_tolerance(eigenvalues)
-    kappa = np.inf if singular else smax / smin
-    return ConditionReport(smax, smin, kappa, singular)
+    return _reports(np.abs(eigenvalues).astype(float).reshape(1, -1), eigenvalues.size)[0]
+
+
+def circulant_extremes_rows(rows: np.ndarray) -> list[ConditionReport]:
+    """:func:`circulant_extremes` of each real first row in the 2-D block ``rows``.
+
+    A real row has lambda_{n-k} = conj(lambda_k), so the half spectrum
+    ``rfft`` holds every modulus; the singular cutoff still counts all n
+    eigenvalues.  The moduli agree with the full spectrum's to roundoff.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError(f"need a 2-D block of non-empty rows, got shape {rows.shape}")
+    return _reports(np.abs(np.fft.rfft(rows, axis=1)), rows.shape[1])
 
 
 def _real_matrix(m, what: str) -> np.ndarray:

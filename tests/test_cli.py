@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from circulab import experiments, spectral
+from circulab import cli, experiments, spectral
 from circulab.arithmetic import gcd_census
 from circulab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, dispatch
 
@@ -202,6 +202,27 @@ class TestExperimentCommand:
         assert dispatch(["--out", str(out2), *argv]) == EXIT_OK
         f = "sigmin_normal_n16_trials.csv"
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
+
+    def test_consecutive_calls_leak_nothing(self, tmp_path, capsys):
+        # the parser is built once per process; no call's flags reach the next
+        base = ["experiment", "sigmin", "--dist", "rademacher", "--sizes", "8",
+                "--trials", "5", "--seed", "3"]
+
+        def echo(name):
+            return json.loads((tmp_path / name / "sigmin_rademacher_summary.json").read_text())["config"]
+
+        assert dispatch(["-v", "--out", str(tmp_path / "sym"), *base, "--symmetric"]) == EXIT_OK
+        assert "took" in capsys.readouterr().err
+        assert dispatch(["--out", str(tmp_path / "plain"), *base]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert echo("sym")["symmetric"] is True
+        assert echo("plain")["symmetric"] is False
+        with pytest.raises(SystemExit) as exc_info:
+            dispatch([*base, "--trials", "many"])
+        assert exc_info.value.code == EXIT_USAGE
+        assert dispatch(["--out", str(tmp_path / "after"), *base]) == EXIT_OK
+        assert echo("after") == echo("plain")
+        assert cli._parser() is cli._parser()
 
     def test_worker_flag_does_not_change_trials(self, tmp_path):
         base = ["experiment", "sigmin", "--dist", "normal", "--sizes", "16",

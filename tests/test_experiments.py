@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import pytest
 from scipy.linalg import solve_toeplitz
 
 import circulab
-from circulab import spectral
+from circulab import experiments, spectral
 from circulab.experiments import (
     Distribution,
     ExperimentConfig,
@@ -281,6 +283,24 @@ class TestDeterminism:
             assert len(blobs[1]) == len(sizes) + 1 + (kind == "sigmax")
             assert blobs[1] == blobs[4], kind
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_blocks_do_not_change_records(self, monkeypatch, workers):
+        # the FFT-only kernels take one half spectrum per block of trials;
+        # a record must not depend on which trials share its block
+        runs = [("sigmin", run_sigma_min_tail), ("kappa", run_condition_number),
+                ("sigmax", run_sigma_max_tail)]
+        for (kind, run), symmetric in itertools.product(runs, (False, True)):
+            config = cfg(experiment=kind, sizes=(15, 16, 64), trials=70, rho=0.2,
+                         symmetric=symmetric, workers=workers,
+                         distribution=Distribution("rademacher" if symmetric else "normal"))
+            records = {}
+            for coeffs in (experiments._BLOCK_COEFFS, 100, 1):  # default, uneven, one trial
+                monkeypatch.setattr(experiments, "_BLOCK_COEFFS", coeffs)
+                records[coeffs] = run(config).records
+                monkeypatch.undo()
+            assert records[100] == records[experiments._BLOCK_COEFFS], (kind, symmetric)
+            assert records[1] == records[experiments._BLOCK_COEFFS], (kind, symmetric)
+
     # the CLI, then the count of its child processes still alive
     _CLI = ("import multiprocessing, sys; from circulab.cli import main\n"
             "try: main()\n"
@@ -366,6 +386,18 @@ class TestSigmaMaxTail:
         for rec in res.records[8]:
             assert rec.sigma_max == pytest.approx(3.0 * 8)  # constant row => lambda_0 = 3n
         # constant rows are singular embeddings elsewhere, but sigmax only samples
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_singular_draws_carry_no_flags(self, symmetric):
+        # sigmax records never flag, not even draws that sigmin flags singular
+        config = cfg(experiment="sigmax", sizes=(4, 16), trials=60, symmetric=symmetric,
+                     distribution=Distribution("rademacher"))
+        records = run_sigma_max_tail(config).records
+        assert any(math.isinf(r.kappa) for r in records[4])
+        assert all(r.flags == () for recs in records.values() for r in recs)
+        flagged = run_sigma_min_tail(dataclasses.replace(config, experiment="sigmin")).records
+        assert ([("singular-embedding",) if math.isinf(r.kappa) else () for r in records[4]]
+                == [r.flags for r in flagged[4]])
 
     @pytest.mark.parametrize("k", [-1, 1, 4])
     def test_oversampling_without_bracket_rejected(self, k):

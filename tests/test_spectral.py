@@ -154,6 +154,42 @@ class TestExtremes:
         assert rep.sigma_min == pytest.approx(sv[-1], rel=1e-9)
 
 
+def _singular_rows(n):
+    """Exactly singular first rows of length n: a zero row, a row summing to 0
+    (lambda_0 = 0), e_0 + e_1 at even n (lambda_{n/2} = 0) and the alternating row."""
+    rows = [np.zeros(n)]
+    if n >= 2:
+        rows.append(np.eye(n)[0] - np.eye(n)[1])
+    if n % 2 == 0:
+        rows.append(np.eye(n)[0] + np.eye(n)[1])
+        rows.append(np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+    return rows
+
+
+class TestExtremesRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 64, 257])
+    def test_matches_per_row_full_spectrum(self, n):
+        rng = np.random.default_rng(n)
+        rows = [Distribution(kind).sample(rng, n) for kind in DISTRIBUTION_KINDS for _ in range(6)]
+        rows += [np.ones(n), np.eye(n)[0], *_singular_rows(n)]
+        block = np.array(rows)
+        got = spectral.circulant_extremes_rows(block)
+        assert len(got) == len(rows)
+        for row, rep in zip(rows, got):
+            want = circulant_extremes(circulant_eigenvalues(circ(row)))
+            assert abs(rep.sigma_max - want.sigma_max) <= 1e-14 * want.sigma_max
+            assert abs(rep.sigma_min - want.sigma_min) <= 1e-14 * want.sigma_max
+            assert rep.singular == want.singular
+            assert rep.kappa == (np.inf if rep.singular else rep.sigma_max / rep.sigma_min)
+        assert all(rep.singular for rep in got[-len(_singular_rows(n)):])
+
+    def test_needs_a_2d_block(self):
+        with pytest.raises(ValueError, match="2-D block"):
+            spectral.circulant_extremes_rows(np.ones(4))
+        with pytest.raises(ValueError, match="2-D block"):
+            spectral.circulant_extremes_rows(np.ones((3, 0)))
+
+
 class TestDenseSvd:
     def test_identity(self):
         assert np.allclose(dense_svd(np.eye(5)), np.ones(5))
