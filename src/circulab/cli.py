@@ -119,14 +119,14 @@ def build_parser() -> _Parser:
     vl.add_argument("--max-m", type=int, default=1000, dest="max_m", help="gcd-census sweep limit")
     vl.add_argument("--seed", type=int, default=0)
 
-    # every dest but kind and xi_star is an ExperimentConfig field; unset flags stay None
+    # every dest but kind, two_n and xi_star is an ExperimentConfig field; unset flags stay None
     ex = sub.add_parser("experiment", help="Monte Carlo experiments")
     ex.add_argument("kind", choices=list(_EXPERIMENTS))
     ex.add_argument("--dist", choices=experiments.DISTRIBUTION_KINDS, dest="distribution")
     ex.add_argument("--trials", type=int)
     ex.add_argument("--seed", type=int, dest="master_seed")
-    ex.add_argument("--two-n", type=int, dest="n", metavar="TWO_N", help="table1 dimension 2n")
-    ex.add_argument("--n", type=int)
+    ex.add_argument("--two-n", type=int, dest="two_n", help="table1 dimension 2n")
+    ex.add_argument("--n", type=int, help="one size n, in place of --sizes (not table1)")
     ex.add_argument("--sizes", type=_parse_ints)
     ex.add_argument("--rho", type=float)
     ex.add_argument("--eps", type=float, dest="epsilon")
@@ -299,6 +299,10 @@ def _cmd_verify_lemmas(args, out: Path) -> int:
 
 def _experiment_config(args) -> experiments.ExperimentConfig:
     """The config file's keys, then every flag given, then the experiment kind."""
+    if args.kind == "table1":  # --two-n sets table1's n, its 2n; --n is for the other kinds
+        args.n, args.two_n = args.two_n, args.n
+    if args.two_n is not None:
+        raise ValueError(f"{'--n' if args.kind == 'table1' else '--two-n'} is not for {args.kind}")
     merged = {}
     if args.config:
         with open(args.config) as fh:

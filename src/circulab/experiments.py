@@ -1,7 +1,7 @@
 """Seeded, reproducible Monte Carlo experiments over the four benchmark laws.
 
 Every experiment is a block kernel, one shared runner and a reducer.  The
-runner checks the sizes, keys trial t at dimension n to a counter-based
+runner checks the config and sizes, keys trial t at dimension n to a counter-based
 Philox stream (``trial_stream(master_seed, n, t)``), cuts each size's trials
 into blocks of consecutive trials, and fans the blocks out over ``workers``
 processes (fork) under :func:`spectral.single_blas_thread`.  The kernel
@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
@@ -104,8 +105,8 @@ class Distribution:
 
     def transform(self, bits: np.ndarray) -> np.ndarray:
         """This law's values of the 53-bit integers ``bits``, elementwise for any shape."""
-        # 53-bit uniforms strictly inside (0, 1): safe for the inverse CDF.
-        u = (bits + 0.5) * 2.0**-53
+        # 53-bit uniforms in (0, 1): bits + 0.5 rounds to even above 2^52, so 2^53 - 1 is clamped
+        u = (np.minimum(bits, (1 << 53) - 2) + 0.5) * 2.0**-53
         if self.kind == "bernoulli":
             x = np.where(u < 0.5, 1.0, 0.0)
         elif self.kind == "rademacher":
@@ -149,8 +150,8 @@ class ExperimentConfig:
     distribution: Distribution = Distribution("normal")
     trials: int = 100
     master_seed: int = 0
-    n: int = 0                       # single-dimension experiments (table1: the 2n value)
-    sizes: tuple[int, ...] = ()      # multi-dimension tail experiments
+    n: int = 0                       # one size (table1: its 2n)
+    sizes: tuple[int, ...] = ()      # several sizes, in place of n (not table1)
     epsilon: float = 1.0
     epsilons: tuple[float, ...] = ()
     rho: float = 0.2
@@ -390,13 +391,23 @@ def _each_trial(trial_kernel: Callable, gens, n, block, config) -> list[tuple[di
     return [trial_kernel(gen, n, t, config) for gen, t in zip(gens, block)]
 
 
-def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Callable,
-         min_size: int = 1, sizes: tuple[int, ...] = ()) -> ExperimentResult:
-    """Check the sizes, run every trial of every size in blocks, and reduce the records.
+# kind -> (smallest size, fields it reads beside experiment, distribution, trials, master_seed
+# and workers); "a|b" reads a or b, not both; "a>b" reads b only when a is not at its default
+_READS = {
+    "table1": (2, "n resample_singular"),
+    "sigmax": (2, "sizes|n symmetric oversampling"),
+    "sigmin": (1, "sizes|n symmetric|rho epsilons|epsilon"),  # symmetric has its own exponent
+    "kappa": (2, "sizes|n symmetric rho epsilon"),
+    **dict.fromkeys(("rect", "interlace"), (1, "sizes|n xi_star_mode>xi_star_value")),
+}
 
-    Sizes come from ``sizes``, else ``config.sizes``, else ``config.n``; they
-    must be distinct, and they and the resampling flag (table1 only) are
-    checked before any trial runs.  ``kernel(gens, n, block, config)`` gets
+
+def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Callable) -> ExperimentResult:
+    """Check the config, run every trial of every size in blocks, and reduce the records.
+
+    Before any trial runs, each field that ``experiment`` (not ``config.experiment``)
+    does not read by ``_READS`` must keep its default, and the sizes, ``config.sizes`` else
+    ``config.n``, must be distinct and large enough.  ``kernel(gens, n, block, config)`` gets
     the generators of a block of consecutive trials and returns, in trial
     order, each trial's record fields and an extra for the reducer.  A block
     holds at most ``max(1, _BLOCK_COEFFS // n)`` trials.  With OpenBLAS on
@@ -406,16 +417,22 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
     and each pool task about a quarter of its share of the blocks.
     ``reduce(config, sizes, records, extras)`` returns the summary fields.
     """
-    sizes = sizes or config.sizes or ((config.n,) if config.n else ())
-    if not sizes:
-        raise ValueError(f"{experiment} needs sizes")
+    min_size, reads = _READS[experiment]
+    given = [f.name for f in dataclasses.fields(config) if getattr(config, f.name) != f.default
+             and f.name not in ("experiment", "distribution", "trials", "master_seed", "workers")]
+    for a, op, b in re.findall(r"(\w+)([|>]?)(\w*)", reads):
+        if b in given and (a in given) == (op == "|"):  # both of a|b, or b of a>b without a
+            raise ValueError(f"{experiment} reads {a} or {b}, not both" if op == "|"
+                             else f"{experiment} reads {b} only when {a} is not {getattr(config, a)!r}")
+        given = [name for name in given if name not in (a, b)]
+    if given:
+        readers = [kind for kind, (_, r) in _READS.items() if given[0] in re.findall(r"\w+", r)]
+        raise ValueError(f"{given[0]} is for {', '.join(readers)} only; {experiment} does not read it")
+    sizes = config.sizes or (config.n,)
     if min(sizes) < min_size:
         raise ValueError(f"{experiment} needs every size n >= {min_size}, got sizes {list(sizes)}")
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"{experiment} needs distinct sizes, got sizes {list(sizes)}")
-    if config.resample_singular and experiment != "table1":
-        raise ValueError(f"{experiment} never redraws a singular draw; "
-                         "resample_singular is for table1 only")
     share = -(-config.trials // (4 * config.workers)) if config.workers > 1 else config.trials
     trials = {}
     with single_blas_thread(), ExitStack() as stack:
@@ -511,10 +528,9 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
     factor 2n).  Singular embeddings are flagged and excluded from the
     summary rather than resampled, unless resampling is requested.
     """
-    if config.n < 2 or config.n % 2 != 0:
+    if config.n % 2 != 0:
         raise ValueError(f"table1 needs an even dimension 2n >= 2, got {config.n}")
-    return _run("table1", config, partial(_each_trial, _table1_trial), _table1_summary,
-                sizes=(config.n,))
+    return _run("table1", config, partial(_each_trial, _table1_trial), _table1_summary)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +588,7 @@ def run_sigma_max_tail(config: ExperimentConfig) -> ExperimentResult:
     fitted constant is the 99th percentile at the smallest dimension and the
     tail points report how often larger dimensions exceed it.
     """
-    return _run("sigmax", config, _sigmax_block, _sigmax_summary, min_size=2)
+    return _run("sigmax", config, _sigmax_block, _sigmax_summary)
 
 
 def _circulant_block(gens, n, block, config):
@@ -626,7 +642,7 @@ def run_condition_number(config: ExperimentConfig) -> ExperimentResult:
     smallest dimension; coverage points report how often the event
     kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) holds at each dimension.
     """
-    return _run("kappa", config, _circulant_block, _kappa_summary, min_size=2)
+    return _run("kappa", config, _circulant_block, _kappa_summary)
 
 
 # ---------------------------------------------------------------------------

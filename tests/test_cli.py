@@ -137,6 +137,73 @@ class TestVerifyLemmas:
         assert not (tmp_path / "lemma_gcd-census.csv").exists()
 
 
+# the config fields each kind reads, beside experiment, distribution, trials,
+# master_seed and workers; table1's n is its 2n
+KIND_READS = {
+    "table1": {"n", "resample_singular"},
+    "sigmax": {"sizes", "n", "symmetric", "oversampling"},
+    "sigmin": {"sizes", "n", "symmetric", "epsilons", "epsilon", "rho"},
+    "kappa": {"sizes", "n", "symmetric", "rho", "epsilon"},
+    "rect": {"sizes", "n", "xi_star_mode", "xi_star_value"},
+    "interlace": {"sizes", "n", "xi_star_mode", "xi_star_value"},
+}
+# a non-default value of each field, as flags (None: no flag sets it alone) and as a
+# config key; resample_singular has its own test
+NON_DEFAULT = {
+    "sizes": (["--sizes", "8"], [8]),
+    "epsilon": (["--eps", "0.5"], 0.5),
+    "epsilons": (["--eps-grid", "0.5,1"], [0.5, 1.0]),
+    "rho": (["--rho", "0.1"], 0.1),
+    "symmetric": (["--symmetric"], True),
+    "xi_star_mode": (["--xi-star", "fixed:0"], "fixed"),
+    "xi_star_value": (None, 0.5),
+    "oversampling": (["--oversampling", "0"], 0),
+}
+
+
+# a run of each kind that sets fields beside the five common ones
+ROUNDTRIP_FLAGS = {
+    "table1": ["--dist", "uniform", "--two-n", "16", "--seed", "9"],
+    "sigmax": ["--dist", "rademacher", "--sizes", "4,8", "--symmetric", "--oversampling", "8"],
+    "sigmin": ["--sizes", "8,16", "--rho", "0.1", "--eps-grid", "0.5,1"],
+    "kappa": ["--n", "8", "--rho", "0.1", "--eps", "0.5"],
+    "rect": ["--dist", "bernoulli", "--sizes", "3", "--xi-star", "fixed:0.5"],
+    "interlace": ["--sizes", "3,4", "--seed", "2"],
+}
+
+
+def _unread_cases():
+    """(kind, flags, config keys, error) for every kind x field it does not read, and
+    for every pair of fields that a kind reads one of, not both."""
+    cases = []
+    for kind, reads in KIND_READS.items():
+        for field, (flags, value) in NON_DEFAULT.items():
+            if field in reads:
+                continue
+            readers = ", ".join(k for k, r in KIND_READS.items() if field in r)
+            error = f"{field} is for {readers} only; {kind} does not read it"
+            if flags is not None:
+                cases.append(pytest.param(kind, flags, None, error, id=f"{kind}-{field}-flag"))
+            cases.append(pytest.param(kind, [], {field: value}, error, id=f"{kind}-{field}-config"))
+    both = [(kind, "sizes", "n", ["--n", "8"], {"n": 8}) for kind in KIND_READS if kind != "table1"]
+    both += [("sigmin", "symmetric", "rho", ["--symmetric", "--rho", "0.1"],
+              {"symmetric": True, "rho": 0.1}),
+             ("sigmin", "epsilons", "epsilon", ["--eps", "0.3", "--eps-grid", "0.1,0.2"],
+              {"epsilon": 0.3, "epsilons": [0.1, 0.2]})]
+    for kind, a, b, flags, config in both:
+        error = f"{kind} reads {a} or {b}, not both"
+        cases.append(pytest.param(kind, flags, None, error, id=f"{kind}-{a}|{b}-flag"))
+        cases.append(pytest.param(kind, [], config, error, id=f"{kind}-{a}|{b}-config"))
+    for kind in ("rect", "interlace"):
+        cases.append(pytest.param(kind, [], {"xi_star_value": 0.5},
+                                  f"{kind} reads xi_star_value only when xi_star_mode is not 'random'",
+                                  id=f"{kind}-xi_star_value-random-config"))
+    cases.append(pytest.param("table1", ["--n", "64"], None, "--n is not for table1", id="table1---n"))
+    cases.append(pytest.param("sigmin", ["--two-n", "16"], None, "--two-n is not for sigmin",
+                              id="sigmin---two-n"))
+    return cases
+
+
 class TestExperimentCommand:
     def test_table1_small(self, tmp_path, capsys):
         code = run(tmp_path, "experiment", "table1", "--dist", "uniform",
@@ -233,18 +300,18 @@ class TestExperimentCommand:
         f = "sigmin_normal_n16_trials.csv"
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
-    def test_config_echo_roundtrip(self, tmp_path):
-        run1 = tmp_path / "r1"
-        assert dispatch(["--out", str(run1), "experiment", "table1", "--dist", "uniform",
-                         "--two-n", "16", "--trials", "5", "--seed", "9"]) == EXIT_OK
-        summary = run1 / "table1_uniform_summary.json"
-        # feed the emitted summary (with its config block) back in
-        run2 = tmp_path / "r2"
-        assert dispatch(["--out", str(run2), "--config", str(summary),
-                         "experiment", "table1"]) == EXIT_OK
-        t1 = (run1 / "table1_uniform_trials.csv").read_bytes()
-        t2 = (run2 / "table1_uniform_trials.csv").read_bytes()
-        assert t1 == t2
+    @pytest.mark.parametrize("kind", ROUNDTRIP_FLAGS)
+    def test_config_echo_roundtrip(self, tmp_path, kind):
+        run1, run2 = tmp_path / "r1", tmp_path / "r2"
+        argv = ["experiment", kind, *ROUNDTRIP_FLAGS[kind], "--trials", "5"]
+        assert dispatch(["--out", str(run1), *argv]) == EXIT_OK
+        summary, = run1.glob("*_summary.json")
+        # feed the emitted summary (with its config block) back in: every output is the same
+        assert dispatch(["--out", str(run2), "--config", str(summary), "experiment", kind]) == EXIT_OK
+        files = sorted(f.name for f in run1.iterdir())
+        assert sorted(f.name for f in run2.iterdir()) == files
+        for name in files:
+            assert (run2 / name).read_bytes() == (run1 / name).read_bytes(), name
 
     def test_unknown_config_key_usage_error(self, tmp_path, capsys):
         # a typo must not silently fall back to the default (100 trials here)
@@ -403,6 +470,22 @@ class TestExperimentCommand:
             argv = ["--config", str(config), *argv]
         assert dispatch(["--out", str(out), *argv]) == EXIT_USAGE
         assert "resample_singular is for table1 only" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("kind, flags, config, error", _unread_cases())
+    def test_unread_field_usage_error(self, tmp_path, capsys, monkeypatch, kind, flags, config, error):
+        # a field the kind ignores would be echoed as if used: exit 1 before any trial runs,
+        # so no trial stream is ever drawn
+        monkeypatch.setattr(experiments, "trial_stream", None)
+        top = []
+        if config is not None:
+            (tmp_path / "c.json").write_text(json.dumps(config))
+            top = ["--config", str(tmp_path / "c.json")]
+        size = ["--two-n", "8"] if kind == "table1" else ["--sizes", "4"]
+        out = tmp_path / "out"
+        argv = ["--out", str(out), *top, "experiment", kind, *size, "--trials", "2", *flags]
+        assert dispatch(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"circulab: error: {error}\n"
         assert not list(out.iterdir())
 
     def test_size_one_still_runs(self, tmp_path):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,15 @@ class TestDistribution:
         ]:
             x = Distribution(kind).sample(gen, 500)
             assert check(x), kind
+
+    def test_top_integer_stays_below_one(self):
+        # above 2^52, bits + 0.5 rounds to even: unclamped, 2^53 - 1 gave u = 1.0 and +inf
+        bits = np.array([0, 2**53 - 2, 2**53 - 1])
+        u = Distribution("uniform").transform(bits)
+        assert u[2] < 1.0 and u[2] == u[1]
+        assert np.array_equal(u[:2], (bits[:2] + 0.5) * 2.0**-53)
+        x = Distribution("normal").transform(bits)
+        assert np.all(np.isfinite(x)) and x[2] == x[1] > 8.0
 
     def test_scale_shift(self):
         gen, _ = trial_stream(0, 1, 0)
@@ -438,6 +448,20 @@ class TestSigmaMinTail:
     def test_repeated_sizes_rejected(self):
         with pytest.raises(ValueError, match=r"distinct sizes, got sizes \[16, 8, 16\]"):
             run_sigma_min_tail(cfg(experiment="sigmin", sizes=(16, 8, 16), trials=5))
+
+    @pytest.mark.parametrize("built_as, fields, run, message", [
+        ("rect", dict(sizes=(8,), xi_star_mode="fixed"), run_sigma_min_tail,
+         "xi_star_mode is for rect, interlace only; sigmin does not read it"),
+        ("sigmin", dict(sizes=(8,), epsilons=(0.5,)), run_rectangular,
+         "epsilons is for sigmin only; rect does not read it"),
+        ("sigmin", dict(n=8, epsilons=(0.5,)), run_table1,
+         "epsilons is for sigmin only; table1 does not read it"),
+        ("table1", dict(n=8, sizes=(8,)), run_condition_number, "kappa reads sizes or n, not both"),
+    ])
+    def test_unread_fields_judged_by_the_runner(self, built_as, fields, run, message):
+        # a config built as one kind is checked against the kind of the runner it reaches
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(cfg(experiment=built_as, **fields))
 
     def test_resample_singular_rejected(self):
         # only table1 redraws; the tail kinds record every draw
