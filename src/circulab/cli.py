@@ -134,7 +134,7 @@ def build_parser() -> _Parser:
                     metavar="EPS_GRID")
     ex.add_argument("--symmetric", action="store_true", default=None)
     ex.add_argument("--xi-star", dest="xi_star",
-                    help="'random' (default) or 'fixed:<value>'")
+                    help="'random' (default) or 'fixed:<finite number>'")
     ex.add_argument("--oversampling", type=int,
                     help="sigmax grid factor K > 4 for the certified sup-norm bracket "
                          "(default 64); 0 skips the bracket and fits sigma_max/sqrt(n log n)")
@@ -316,13 +316,16 @@ def _experiment_config(args) -> experiments.ExperimentConfig:
             merged[field.name] = getattr(args, field.name)
     merged["experiment"] = args.kind
     if args.xi_star is not None:
-        if args.xi_star.startswith("fixed:"):
-            merged["xi_star_mode"] = "fixed"
-            merged["xi_star_value"] = float(args.xi_star.split(":", 1)[1])
-        elif args.xi_star == "random":
-            merged["xi_star_mode"] = "random"
-        else:
-            raise ValueError(f"bad --xi-star {args.xi_star!r}")
+        mode, _, value = args.xi_star.partition(":")
+        try:
+            fixed = mode == "fixed" and math.isfinite(float(value))
+        except ValueError:
+            fixed = False
+        if not fixed and args.xi_star != "random":
+            raise ValueError(f"--xi-star takes 'random' or 'fixed:<finite number>', got {args.xi_star!r}")
+        merged["xi_star_mode"] = mode
+        if fixed:
+            merged["xi_star_value"] = float(value)
     return experiments.ExperimentConfig.from_dict(merged)
 
 

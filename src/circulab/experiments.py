@@ -23,10 +23,12 @@ import json
 import math
 import multiprocessing
 import re
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
 from typing import Callable, Sequence, get_args, get_origin, get_type_hints
 
@@ -167,15 +169,15 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.experiment == "sigmin" and not self.symmetric and not 0.0 < self.rho < 0.25:
-            raise ValueError("sigma-min tail experiment needs rho in (0, 1/4)")
+        if not 0.0 < self.rho < 0.25:  # a kind that does not read rho keeps the default
+            raise ValueError(f"rho needs a value in (0, 1/4), got {self.rho!r}")
         if not all(math.isfinite(eps) and eps >= 0 for eps in (self.epsilon, *self.epsilons)):
             raise ValueError(f"epsilon and epsilons need finite values >= 0, got "
                              f"{self.epsilon!r} and {list(self.epsilons)!r}")
-        if self.experiment == "kappa" and not self.epsilon > 0:
-            raise ValueError(f"kappa needs epsilon > 0, got {self.epsilon!r}")
         if self.xi_star_mode not in ("random", "fixed"):
             raise ValueError("xi_star_mode must be 'random' or 'fixed'")
+        if not math.isfinite(self.xi_star_value):
+            raise ValueError(f"xi_star_value needs a finite number, got {self.xi_star_value!r}")
         if self.oversampling != 0 and self.oversampling <= 4:
             raise ValueError("oversampling must be 0 (no sup-norm bracket) or exceed 4")
 
@@ -377,13 +379,32 @@ def _jsonable(value):
 _BLOCK_COEFFS = 1 << 14  # trials of size n per block: at most max(1, _BLOCK_COEFFS // n)
 
 
-def _block(config: ExperimentConfig, kernel: Callable, n: int,
-           block: range) -> list[tuple[TrialRecord, object]]:
-    """The trials ``block`` at dimension n: draw their streams, run the kernel, record the fields."""
-    streams = [trial_stream(config.master_seed, n, t) for t in block]
-    out = kernel([gen for gen, _ in streams], n, block, config)
-    return [(TrialRecord(t, seed, **fields), extra)
-            for t, (_, seed), (fields, extra) in zip(block, streams, out, strict=True)]
+def _blocks(config: ExperimentConfig, kernel: Callable, n: int,
+            blocks: Sequence[range]) -> list[tuple[TrialRecord, object]]:
+    """The trials of ``blocks`` at dimension n: per block, draw their streams, run the
+    kernel and record the fields."""
+    records = []
+    for block in blocks:
+        streams = [trial_stream(config.master_seed, n, t) for t in block]
+        out = kernel([gen for gen, _ in streams], n, block, config)
+        records += [(TrialRecord(t, seed, **fields), extra)
+                    for t, (_, seed), (fields, extra) in zip(block, streams, out, strict=True)]
+    return records
+
+
+def _in_order(pool: ProcessPoolExecutor, fn: Callable, tasks: Sequence, width: int):
+    """``fn`` of each task in ``pool``, with at most ``width`` tasks submitted at a time,
+    yielded in task order; the first exception cancels the tasks still queued."""
+    tasks = iter(tasks)
+    window = deque(pool.submit(fn, task) for task in islice(tasks, width))
+    try:
+        while window:
+            result = window.popleft().result()
+            window.extend(pool.submit(fn, task) for task in islice(tasks, 1))
+            yield result
+    finally:
+        for future in window:
+            future.cancel()
 
 
 def _each_trial(trial_kernel: Callable, gens, n, block, config) -> list[tuple[dict, object]]:
@@ -414,7 +435,9 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
     one thread, blocks run in this process for one worker and otherwise in
     a pool of ``config.workers`` forked processes, which inherit that pin;
     there a block holds at most a quarter of a worker's share of the trials,
-    and each pool task about a quarter of its share of the blocks.
+    and each pool task about a quarter of its share of the blocks.  At most
+    ``config.workers`` tasks are submitted at a time, so after a task raises
+    only those already running finish before the error propagates.
     ``reduce(config, sizes, records, extras)`` returns the summary fields.
     """
     min_size, reads = _READS[experiment]
@@ -443,10 +466,14 @@ def _run(experiment: str, config: ExperimentConfig, kernel: Callable, reduce: Ca
         for n in sizes:
             step = min(max(1, _BLOCK_COEFFS // n), share)
             blocks = [range(b, min(b + step, config.trials)) for b in range(0, config.trials, step)]
-            fan_out = map if pool is None else partial(
-                pool.map, chunksize=-(-len(blocks) // (4 * config.workers)))
-            trials[n] = [out for block in fan_out(partial(_block, config, kernel, n), blocks)
-                         for out in block]
+            run_blocks = partial(_blocks, config, kernel, n)
+            if pool is None:
+                trials[n] = run_blocks(blocks)
+            else:
+                chunk = -(-len(blocks) // (4 * config.workers))
+                tasks = [blocks[b : b + chunk] for b in range(0, len(blocks), chunk)]
+                trials[n] = [out for part in _in_order(pool, run_blocks, tasks, config.workers)
+                             for out in part]
     records = {n: tuple(rec for rec, _ in out) for n, out in trials.items()}
     extras = {n: [extra for _, extra in out] for n, out in trials.items()}
     return ExperimentResult(experiment=experiment, config=config.science_dict(), records=records,
@@ -642,6 +669,8 @@ def run_condition_number(config: ExperimentConfig) -> ExperimentResult:
     smallest dimension; coverage points report how often the event
     kappa <= (C0/eps) n^(rho+1/2) sqrt(log n) holds at each dimension.
     """
+    if not config.epsilon > 0:  # the fitted constant is divided by it
+        raise ValueError(f"kappa needs epsilon > 0, got {config.epsilon!r}")
     return _run("kappa", config, _circulant_block, _kappa_summary)
 
 

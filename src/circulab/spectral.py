@@ -5,6 +5,12 @@ never sorted); singular value vectors are real arrays sorted descending.  The
 dense matrices (T_n, C_2n and the Schur block S_n) are real ``float64``, and
 the dense routines accept real input only.
 
+The Schur block S_n of C_2n^{-1} has one home, the private
+:class:`_SchurOperator`, built once from the spectrum of C_2n: the public
+Schur functions and :func:`verify_interlacing` are its callers.  One cutoff,
+1e-12 * n * max|lambda|, separates singular spectra from regular ones, for
+the condition reports and for the Schur block alike.
+
 Experiment runs enter :func:`single_blas_thread`, so their LAPACK results do
 not depend on the BLAS thread count and worker processes (fork) are the only
 source of parallelism.
@@ -139,12 +145,9 @@ def single_blas_thread():
             b.set_threads(count)
 
 
-_SINGULAR_RTOL = 1e-12
-
-
-def default_singular_tolerance(eigenvalues: np.ndarray) -> float:
+def _singular_cutoff(n: int, largest):
     """Dimension-scaled cutoff separating exact zeros from roundoff: 1e-12 * n * max|lambda|."""
-    return _SINGULAR_RTOL * eigenvalues.size * float(np.max(np.abs(eigenvalues)))
+    return 1e-12 * n * largest
 
 
 def circulant_eigenvalues(spec: CirculantSpec) -> np.ndarray:
@@ -189,7 +192,7 @@ def _reports(mags: np.ndarray, n: int) -> list[ConditionReport]:
     """One report per row of ``mags``, the moduli of an n-point spectrum (or of its
     half when the first row is real, since |lambda_{n-k}| = |lambda_k|)."""
     smax, smin = mags.max(axis=1), mags.min(axis=1)
-    singular = smin <= _SINGULAR_RTOL * n * smax
+    singular = smin <= _singular_cutoff(n, smax)
     kappa = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=~singular)
     return [ConditionReport(*fields) for fields in zip(
         smax.tolist(), smin.tolist(), kappa.tolist(), singular.tolist())]
@@ -351,44 +354,169 @@ def sigma_min_fast(m: np.ndarray, tol: float = 1e-10, max_iter: int = 500) -> Si
 
 @dataclass(frozen=True, eq=False)
 class SchurBlock:
-    """Trailing n x n block of C_2n^{-1} with the two spectral weight lists.
-
-    ``matrix`` is real ``float64``, as C_2n is.  ``diag1`` and ``diag2`` hold the reciprocal eigenvalues 1/G_2n(w^k) for
-    k = 0..n-1 and k = n..2n-1, the diagonals of the blocked spectral factor.
-    """
+    """Trailing n x n block S_n of C_2n^{-1}, real ``float64`` as C_2n is."""
 
     n: int
     matrix: np.ndarray
-    diag1: np.ndarray
-    diag2: np.ndarray
 
 
-def _inverse_circulant_row(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reciprocal spectrum 1/lambda and the first row of C_2n^{-1}.
+_GS_BACKWARD_TOL = 1e-12
+_GS_SINGULAR_RATIO = 1e-8
+
+
+class _Generators(NamedTuple):
+    x0: float
+    spectra: np.ndarray  # rfft of x, Zy, Jy and ZJx, shape (4, n + 1, 1)
+    ok: bool             # x and y finite and x_0 != 0
+
+
+class _SchurOperator:
+    """The Schur block S = S_n of C_2n^{-1}, held by 1/lambda for the spectrum lambda of C_2n.
 
     The (i, j) entry of C_2n^{-1} is row[(j - i) mod 2n], so its trailing
     n x n block equals the leading one and is Toeplitz.  C_2n is real, so the
-    row is real up to roundoff in its imaginary part, which is dropped.
+    row is real up to roundoff in its imaginary part, which is dropped.  S v
+    is the first n entries of C_2n^{-1} [v; 0], one length-2n real FFT
+    product with ``weights`` = 1/lambda (its conjugate for S^T).
+
+    Products with S^{-1} and S^{-T} use generators built on first use.
+    Levinson (``scipy.linalg.solve_toeplitz``) gives x = S^{-1} e_0 and
+    y = S^{-1} e_{n-1}; then, with L(v) / U(v) the lower / upper triangular
+    Toeplitz matrices with first column / row v, J the reversal and Z the
+    down-shift, S^{-1} = (L(x) U(Jy) - L(Zy) U(ZJx)) / x_0 (Gohberg and
+    Semencul, Mat. Issled. 7(2), 1972), and S^{-T} swaps the roles of the L
+    and U generators.  U(w) u = J L(w) J u, and L(w) u is the head of a
+    linear convolution, so every factor is a length-2n FFT product.
+
+    Levinson is not backward stable on an indefinite nonsymmetric block, so
+    x and y get one step of iterative refinement against :meth:`matvec`
+    before they become the generators.  :meth:`apply_inverse` evaluates the
+    formula alone, whose error grows with the condition of S; :meth:`solve`
+    adds one refinement step and is as accurate as an LU solve.  Levinson
+    raises ``LinAlgError`` when it meets a singular leading minor; ``ok`` is
+    False when x_0 or a generator is not a usable finite number.  ``scale``
+    is the 2-norm of the 2n - 1 distinct entries.
+
+    The constructor raises ``ValueError`` unless the spectrum has an even size
+    2n >= 2, and :class:`SingularEmbeddingError` if any |lambda_k| is at or
+    below ``1e-12 * 2n * max|lambda|``.
     """
-    mags = np.abs(lam)
-    bad = np.flatnonzero(mags <= default_singular_tolerance(lam))
-    if bad.size:
-        k = int(bad[0])
-        raise SingularEmbeddingError(k, float(mags[k]))
-    weights = 1.0 / lam
-    return weights, (np.fft.fft(weights) / lam.size).real
 
+    def __init__(self, lam: np.ndarray):
+        lam = np.asarray(lam)
+        if lam.size < 2 or lam.size % 2 != 0:
+            raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
+        mags = np.abs(lam)
+        bad = np.flatnonzero(mags <= _singular_cutoff(lam.size, float(np.max(mags))))
+        if bad.size:
+            k = int(bad[0])
+            raise SingularEmbeddingError(k, float(mags[k]))
+        self.n, self.big_n = lam.size // 2, lam.size
+        self.weights = 1.0 / lam
+        self.row = (np.fft.fft(self.weights) / lam.size).real
+        self.column = self.row[-np.arange(self.n) % self.big_n]
 
-def _toeplitz_block(row: np.ndarray) -> np.ndarray:
-    n = row.size // 2
-    j = np.arange(n)
-    return row[(j[None, :] - j[:, None]) % row.size]
+    @functools.cached_property
+    def scale(self) -> float:
+        head = self.row[1 : self.n]
+        return float(np.sqrt(np.dot(self.column, self.column) + np.dot(head, head)))
 
+    def matrix(self) -> np.ndarray:
+        """S gathered as a dense n x n array."""
+        j = np.arange(self.n)
+        return self.row[(j[None, :] - j[:, None]) % self.big_n]
 
-def _schur_from_eigenvalues(lam: np.ndarray) -> SchurBlock:
-    n = lam.size // 2
-    weights, row = _inverse_circulant_row(lam)
-    return SchurBlock(n, _toeplitz_block(row), weights[:n].copy(), weights[n:].copy())
+    def matvec(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
+        """S v (S^T v when ``trans``) for an n x k block v; half of the spectrum suffices."""
+        w = self.weights[: self.n + 1, None]
+        if trans:
+            w = w.conj()
+        return np.fft.irfft(np.fft.rfft(v, self.big_n, axis=0) * w, self.big_n, axis=0)[: self.n]
+
+    def _generators_of(self, xy: np.ndarray) -> _Generators:
+        n = self.n
+        x, y = xy[:, 0], xy[:, 1]
+        gens = np.zeros((self.big_n, 4))
+        gens[:n, 0] = x
+        gens[1:n, 1] = y[:-1]          # Zy
+        gens[:n, 2] = y[::-1]          # Jy
+        gens[1:n, 3] = x[:0:-1]        # ZJx
+        ok = bool(np.all(np.isfinite(xy))) and xy[0, 0] != 0.0
+        return _Generators(x[0], np.fft.rfft(gens, axis=0).T[:, :, None], ok)
+
+    @functools.cached_property
+    def _generators(self) -> _Generators:
+        n = self.n
+        rhs = np.zeros((n, 2))
+        rhs[0, 0] = rhs[n - 1, 1] = 1.0
+        xy = solve_toeplitz((self.column, self.row[:n]), rhs, check_finite=False)
+        rough = self._generators_of(xy)
+        xy = xy + self._formula(rough, rhs - self.matvec(xy), False)
+        return self._generators_of(xy)
+
+    @property
+    def ok(self) -> bool:
+        return self._generators.ok
+
+    def _formula(self, gens: _Generators, v: np.ndarray, trans: bool) -> np.ndarray:
+        n, big_n = self.n, self.big_n
+        lx, lzy, ujy, uzjx = gens.spectra
+        if trans:
+            lx, lzy, ujy, uzjx = ujy, uzjx, lx, lzy
+        spec = np.fft.rfft(v[::-1], big_n, axis=0)
+        ab = np.fft.irfft(np.stack([ujy * spec, uzjx * spec]), big_n, axis=1)[:, n - 1 :: -1]
+        ab = np.fft.rfft(ab, big_n, axis=1)
+        return np.fft.irfft(lx * ab[0] - lzy * ab[1], big_n, axis=0)[:n] / gens.x0
+
+    def apply_inverse(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
+        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, by the formula alone."""
+        return self._formula(self._generators, v, trans)
+
+    def solve(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
+        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, refined once."""
+        z = self.apply_inverse(v, trans)
+        return z + self.apply_inverse(v - self.matvec(z, trans), trans)
+
+    def backward_error(self, z: np.ndarray, v: np.ndarray, trans: bool = False) -> float:
+        """||S z - v|| / (scale * ||z||), with S^T for ``trans``; NaN when z is not finite."""
+        residual = self.matvec(z, trans) - v
+        return float(np.linalg.norm(residual) / (self.scale * np.linalg.norm(z)))
+
+    def _structured_value(self) -> SigmaMinResult | None:
+        if not self.ok:
+            return None
+        # Unrefined solves find the subspace; their error grows with the
+        # condition of S, so refined solves, restarted from that subspace,
+        # certify the value.  Tolerance and budget are sigma_min_fast's defaults.
+        rough = _top_ritz_pair(lambda v: self.apply_inverse(self.apply_inverse(v, trans=True)),
+                               _start_block(self.n), 1e-10, 500)
+        if rough.vector is None:
+            return None
+        pair = _top_ritz_pair(lambda v: self.solve(self.solve(v, trans=True)), rough.block, 1e-10, 500)
+        if pair.vector is None:
+            return None
+        sigma = 1.0 / np.sqrt(pair.mu)
+        if not sigma >= _GS_SINGULAR_RATIO * self.scale:
+            return None
+        u = pair.vector[:, None]
+        w = self.solve(u, trans=True)
+        z = self.solve(w)
+        worst = max(self.backward_error(w, u, trans=True), self.backward_error(z, w))
+        if not worst <= _GS_BACKWARD_TOL:
+            return None
+        return SigmaMinResult(sigma, iterations=rough.iterations + pair.iterations, residual=pair.residual)
+
+    def sigma_min(self) -> SigmaMinResult:
+        """sigma_min(S) by Gohberg-Semencul solves under the guard of :func:`schur_sigma_min`,
+        else by :func:`sigma_min_fast` on :meth:`matrix` with ``structured_fallback`` set."""
+        try:
+            with np.errstate(all="ignore"):  # a failed Levinson shows up in the guard
+                res = self._structured_value()
+        except np.linalg.LinAlgError:
+            res = None
+        if res is not None:
+            return res
+        return replace(sigma_min_fast(self.matrix()), structured_fallback=True)
 
 
 def build_schur_block(spec: CirculantSpec) -> SchurBlock:
@@ -404,127 +532,7 @@ def build_schur_block(spec: CirculantSpec) -> SchurBlock:
     Raises :class:`SingularEmbeddingError` if any |G_2n(w^k)| is at or below
     the tolerance ``1e-12 * 2n * max|lambda|``.
     """
-    if spec.n % 2 != 0:
-        raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
-    lam = circulant_eigenvalues(spec)
-    return _schur_from_eigenvalues(lam)
-
-
-_GS_BACKWARD_TOL = 1e-12
-_GS_SINGULAR_RATIO = 1e-8
-
-
-def _schur_matvec(weights: np.ndarray, v: np.ndarray, trans: bool = False) -> np.ndarray:
-    """S v (S^T v when ``trans``) for the n x n Schur block S and an n x k block v.
-
-    S v is the first n entries of C_2n^{-1} [v; 0], one length-2n real FFT
-    product with the reciprocal spectrum ``weights`` = 1/lambda (its
-    conjugate for S^T); C_2n is real, so half of the spectrum suffices.
-    """
-    big_n = weights.size
-    n = big_n // 2
-    w = weights[: n + 1, None]
-    if trans:
-        w = w.conj()
-    return np.fft.irfft(np.fft.rfft(v, big_n, axis=0) * w, big_n, axis=0)[:n]
-
-
-class _GohbergSemencul:
-    """Products with S^{-1} and S^{-T} for the Toeplitz Schur block S of C_2n^{-1}.
-
-    Levinson (``scipy.linalg.solve_toeplitz``) gives x = S^{-1} e_0 and
-    y = S^{-1} e_{n-1}; then, with L(v) / U(v) the lower / upper triangular
-    Toeplitz matrices with first column / row v, J the reversal and Z the
-    down-shift, S^{-1} = (L(x) U(Jy) - L(Zy) U(ZJx)) / x_0 (Gohberg and
-    Semencul, Mat. Issled. 7(2), 1972), and S^{-T} swaps the roles of the L
-    and U generators.  U(w) u = J L(w) J u, and L(w) u is the head of a
-    linear convolution, so every factor is a length-2n FFT product.
-
-    Levinson is not backward stable on an indefinite nonsymmetric block, so
-    x and y get one step of iterative refinement against the exact FFT
-    product with S (:func:`_schur_matvec`) before they become the
-    generators.  ``apply_inverse`` evaluates the formula alone, whose error
-    grows with the condition of S; ``solve`` adds one refinement step and is
-    as accurate as an LU solve.
-
-    The constructor raises ``LinAlgError`` when Levinson meets a singular
-    leading minor; ``ok`` is False when x_0 or a generator is not a usable
-    finite number.  ``scale`` is the 2-norm of the 2n - 1 distinct entries.
-    """
-
-    def __init__(self, weights: np.ndarray, row: np.ndarray):
-        big_n = row.size
-        n = big_n // 2
-        self.n, self.big_n = n, big_n
-        col = row[-np.arange(n) % big_n]
-        self.scale = float(np.sqrt(np.dot(col, col) + np.dot(row[1:n], row[1:n])))
-        self._weights = weights
-        rhs = np.zeros((n, 2))
-        rhs[0, 0] = rhs[n - 1, 1] = 1.0
-        xy = solve_toeplitz((col, row[:n]), rhs, check_finite=False)
-        self._set_generators(xy)
-        xy = xy + self.apply_inverse(rhs - _schur_matvec(weights, xy))
-        self._set_generators(xy)
-        self.ok = bool(np.all(np.isfinite(xy))) and xy[0, 0] != 0.0
-
-    def _set_generators(self, xy: np.ndarray) -> None:
-        n = self.n
-        x, y = xy[:, 0], xy[:, 1]
-        gens = np.zeros((self.big_n, 4))
-        gens[:n, 0] = x
-        gens[1:n, 1] = y[:-1]          # Zy
-        gens[:n, 2] = y[::-1]          # Jy
-        gens[1:n, 3] = x[:0:-1]        # ZJx
-        self._x0 = x[0]
-        self._gens = np.fft.rfft(gens, axis=0).T[:, :, None]  # (4, n + 1, 1)
-
-    def apply_inverse(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
-        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, by the formula alone."""
-        n, big_n = self.n, self.big_n
-        lx, lzy, ujy, uzjx = self._gens
-        if trans:
-            lx, lzy, ujy, uzjx = ujy, uzjx, lx, lzy
-        spec = np.fft.rfft(v[::-1], big_n, axis=0)
-        ab = np.fft.irfft(np.stack([ujy * spec, uzjx * spec]), big_n, axis=1)[:, n - 1 :: -1]
-        ab = np.fft.rfft(ab, big_n, axis=1)
-        return np.fft.irfft(lx * ab[0] - lzy * ab[1], big_n, axis=0)[:n] / self._x0
-
-    def solve(self, v: np.ndarray, trans: bool = False) -> np.ndarray:
-        """S^{-1} v (S^{-T} v when ``trans``) for an n x k block v, refined once."""
-        z = self.apply_inverse(v, trans)
-        return z + self.apply_inverse(v - _schur_matvec(self._weights, z, trans), trans)
-
-    def backward_error(self, z: np.ndarray, v: np.ndarray, trans: bool = False) -> float:
-        """||S z - v|| / (scale * ||z||), with S^T for ``trans``; NaN when z is not finite."""
-        residual = _schur_matvec(self._weights, z, trans) - v
-        return float(np.linalg.norm(residual) / (self.scale * np.linalg.norm(z)))
-
-
-def _structured_sigma_min(weights: np.ndarray, row: np.ndarray) -> SigmaMinResult | None:
-    """sigma_min of the Toeplitz block by Gohberg-Semencul solves, or None when a guard fails."""
-    gs = _GohbergSemencul(weights, row)
-    if not gs.ok:
-        return None
-    # Unrefined solves find the subspace; their error grows with the
-    # condition of S, so refined solves, restarted from that subspace,
-    # certify the value.  Tolerance and budget are sigma_min_fast's defaults.
-    rough = _top_ritz_pair(lambda v: gs.apply_inverse(gs.apply_inverse(v, trans=True)),
-                           _start_block(gs.n), 1e-10, 500)
-    if rough.vector is None:
-        return None
-    pair = _top_ritz_pair(lambda v: gs.solve(gs.solve(v, trans=True)), rough.block, 1e-10, 500)
-    if pair.vector is None:
-        return None
-    sigma = 1.0 / np.sqrt(pair.mu)
-    if not sigma >= _GS_SINGULAR_RATIO * gs.scale:
-        return None
-    u = pair.vector[:, None]
-    w = gs.solve(u, trans=True)
-    z = gs.solve(w)
-    worst = max(gs.backward_error(w, u, trans=True), gs.backward_error(z, w))
-    if not worst <= _GS_BACKWARD_TOL:
-        return None
-    return SigmaMinResult(sigma, iterations=rough.iterations + pair.iterations, residual=pair.residual)
+    return SchurBlock(spec.n // 2, _SchurOperator(circulant_eigenvalues(spec)).matrix())
 
 
 def schur_sigma_min(lam: np.ndarray) -> SigmaMinResult:
@@ -551,18 +559,7 @@ def schur_sigma_min(lam: np.ndarray) -> SigmaMinResult:
     and :func:`sigma_min_fast` (LU) answers, with ``structured_fallback`` set.
     Raises :class:`SingularEmbeddingError` like :func:`build_schur_block`.
     """
-    lam = np.asarray(lam)
-    if lam.size < 2 or lam.size % 2 != 0:
-        raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
-    weights, row = _inverse_circulant_row(lam)
-    try:
-        with np.errstate(all="ignore"):  # a failed Levinson shows up in the guard
-            res = _structured_sigma_min(weights, row)
-    except np.linalg.LinAlgError:
-        res = None
-    if res is not None:
-        return res
-    return replace(sigma_min_fast(_toeplitz_block(row)), structured_fallback=True)
+    return _SchurOperator(lam).sigma_min()
 
 
 def schur_block_oracle(spec: CirculantSpec) -> SchurBlock:
@@ -570,12 +567,8 @@ def schur_block_oracle(spec: CirculantSpec) -> SchurBlock:
     if spec.n % 2 != 0:
         raise ValueError("Schur block needs an even-dimensional circulant (size 2n)")
     n = spec.n // 2
-    c = materialize_circulant(spec)
-    inv = np.linalg.inv(c)
-    lam = circulant_eigenvalues(spec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = 1.0 / lam
-    return SchurBlock(n, inv[n:, n:].copy(), weights[:n], weights[n:])
+    inv = np.linalg.inv(materialize_circulant(spec))
+    return SchurBlock(n, inv[n:, n:].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -633,11 +626,11 @@ def verify_interlacing(spec: ToeplitzSpec, xi_star: float, rtol: float = 1e-8) -
     clause_c: bool | None = None
     singular = False
     try:
-        block = _schur_from_eigenvalues(lam)
+        schur = _SchurOperator(lam).matrix()
     except SingularEmbeddingError:
         singular = True
     else:
-        sigma_s = dense_svd(block.matrix)
+        sigma_s = dense_svd(schur)
         lower = float(sigma_c[-1]) ** 2 * sigma_s
         upper = float(sigma_c[0]) ** 2 * sigma_s
         margin_c = min(float(np.min(sigma_t - lower)), float(np.min(upper - sigma_t)))

@@ -416,6 +416,26 @@ class TestExperimentCommand:
         data = json.loads((tmp_path / "rect_normal_summary.json").read_text())
         assert data["config"]["xi_star_mode"] == "fixed"
 
+    @pytest.mark.parametrize("value", ["fixed:abc", "fixed:", "fixed:nan", "fixed:inf", "fixed", "bogus"])
+    def test_bad_xi_star_usage_error(self, tmp_path, capsys, value):
+        code = run(tmp_path, "experiment", "rect", "--sizes", "4", "--trials", "3", "--xi-star", value)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (f"circulab: error: --xi-star takes 'random' or "
+                                           f"'fixed:<finite number>', got {value!r}\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["kappa", "--rho", "0.9"],
+        ["kappa", "--rho", "-0.4"],
+        ["sigmin", "--rho", "0.25"],
+    ])
+    def test_rho_out_of_range_usage_error(self, tmp_path, capsys, argv):
+        code = run(tmp_path, "experiment", *argv, "--sizes", "8", "--trials", "3")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"circulab: error: rho needs a value in (0, 1/4), got {float(argv[2])!r}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_subcommand_usage(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             dispatch(["frobnicate"])

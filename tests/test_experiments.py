@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from circulab.experiments import (
 )
 from circulab.matrices import CirculantSpec, CoefficientSequence
 from circulab.spectral import (
-    _schur_from_eigenvalues,
+    _SchurOperator,
     circulant_eigenvalues,
     dense_svd,
     schur_block_oracle,
@@ -209,7 +210,7 @@ class TestTable1:
         gen, _ = trial_stream(config.master_seed, config.n, t)
         row = config.distribution.sample(gen, config.n)
         lam = circulant_eigenvalues(CirculantSpec(config.n, CoefficientSequence(row)))
-        return _schur_from_eigenvalues(lam).matrix
+        return _SchurOperator(lam).matrix()
 
     def test_levinson_garbage_falls_back_to_lu(self):
         # at 2n = 8 and 16 Levinson on the block of a discrete draw can return
@@ -254,7 +255,25 @@ class TestTable1:
             assert rec.sigmin_s == 64 * sigma_min_fast(self.gathered_block(config, rec.trial_index)).value
 
 
+def _kernel_failing_on_block_0(log_dir, gens, n, block, config):
+    """Stand-in block kernel: log that ``block`` started, fail on the first block."""
+    (log_dir / f"block-{block.start}").touch()
+    if block.start == 0:
+        raise RuntimeError("block 0 fails")
+    return [({}, None) for _ in block]
+
+
 class TestDeterminism:
+    def test_first_failure_stops_the_pool(self, tmp_path):
+        # 64 trials at n = 8 on two workers are eight one-block tasks; once block 0
+        # raises, no task beyond those already submitted with it may start
+        config = cfg(experiment="sigmin", sizes=(8,), trials=64, workers=2)
+        kernel = partial(_kernel_failing_on_block_0, tmp_path)
+        with pytest.raises(RuntimeError, match="block 0 fails"):
+            experiments._run("sigmin", config, kernel, reduce=None)
+        started = sorted(p.name for p in tmp_path.iterdir())
+        assert "block-0" in started and len(started) <= config.workers, started
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         # sigmin, kappa and sigmax are FFT-only (the symmetric cases draw the
         # free coefficients); rect and interlace run LAPACK dgejsv in every
@@ -462,6 +481,26 @@ class TestSigmaMinTail:
         # a config built as one kind is checked against the kind of the runner it reaches
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run(cfg(experiment=built_as, **fields))
+
+    @pytest.mark.parametrize("kind", ["sigmin", "kappa", "sigmax", "table1", "rect", "interlace"])
+    @pytest.mark.parametrize("rho", [0.9, 0.25, 0.0, -0.4])
+    def test_rho_checked_for_every_kind(self, kind, rho):
+        # kinds that do not read rho keep its in-range default, so one check serves all
+        with pytest.raises(ValueError, match=r"rho needs a value in \(0, 1/4\)"):
+            cfg(experiment=kind, sizes=(8,), rho=rho)
+
+    @pytest.mark.parametrize("built_as", ["sigmin", "kappa"])
+    def test_kappa_epsilon_judged_by_the_runner(self, built_as):
+        # a zero epsilon is a valid sigmin threshold but would divide kappa's fitted constant
+        config = cfg(experiment=built_as, sizes=(8,), epsilon=0.0, trials=3)
+        with pytest.raises(ValueError, match=r"^kappa needs epsilon > 0, got 0\.0$"):
+            run_condition_number(config)
+        assert run_sigma_min_tail(config).tail.points[0].epsilon == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_xi_star_value_rejected(self, value):
+        with pytest.raises(ValueError, match="xi_star_value needs a finite number"):
+            cfg(experiment="rect", sizes=(4,), xi_star_mode="fixed", xi_star_value=value)
 
     def test_resample_singular_rejected(self):
         # only table1 redraws; the tail kinds record every draw

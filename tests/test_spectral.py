@@ -25,10 +25,7 @@ from circulab.spectral import (
     ConvergenceError,
     SigmaMinResult,
     SingularEmbeddingError,
-    _GohbergSemencul,
-    _inverse_circulant_row,
-    _schur_from_eigenvalues,
-    _schur_matvec,
+    _SchurOperator,
     build_schur_block,
     cauchy_interlacing_check,
     circulant_eigenvalues,
@@ -349,20 +346,14 @@ class TestSchurBlock:
         n = 6
         spec = circ(rng.standard_normal(2 * n))
         block = build_schur_block(spec)
+        weights = 1.0 / circulant_eigenvalues(spec)
         f = fourier_matrix(2 * n)
         f2 = f[:n, n:]
         f4 = f[n:, n:]
-        d1 = np.diag(block.diag1)
-        d2 = np.diag(block.diag2)
+        d1 = np.diag(weights[:n])
+        d2 = np.diag(weights[n:])
         explicit = f2.conj().T @ d1 @ f2 + f4.conj().T @ d2 @ f4
         assert np.linalg.norm(block.matrix - explicit) <= 1e-12 * np.linalg.norm(explicit)
-
-    def test_diagonals_are_reciprocal_eigenvalues(self):
-        spec = circ([2.0, 0.5, -0.25, 0.1])
-        block = build_schur_block(spec)
-        lam = circulant_eigenvalues(spec)
-        assert np.allclose(block.diag1, 1.0 / lam[:2])
-        assert np.allclose(block.diag2, 1.0 / lam[2:])
 
     def test_singular_embedding_error_carries_index(self):
         # G(z) = 1 + z vanishes only at z = -1, i.e. at k = n for even size
@@ -396,11 +387,12 @@ def _table1_spectrum(kind, master_seed, two_n, t):
 
 class TestStructuredSchurKernel:
     @staticmethod
-    def gohberg_semencul(c, r):
+    def toeplitz_operator(c, r):
         # an n x n Toeplitz matrix is the leading block of the 2n circulant with
-        # first row (r_0..r_{n-1}, 0, c_{n-1}..c_1); its spectrum is 2n * ifft(row)
+        # first row (r_0..r_{n-1}, 0, c_{n-1}..c_1), whose spectrum is 2n * ifft(row);
+        # it is the Schur block of the inverse of that circulant
         row = np.concatenate([r, [0.0], c[:0:-1]])
-        return _GohbergSemencul(np.fft.ifft(row) * row.size, row)
+        return _SchurOperator(1.0 / (np.fft.ifft(row) * row.size))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
     def test_gohberg_semencul_inverse_against_dense(self, n):
@@ -408,7 +400,7 @@ class TestStructuredSchurKernel:
         c, r = rng.standard_normal(n), rng.standard_normal(n)
         r[0] = c[0]
         t = np.array([[c[i - j] if i >= j else r[j - i] for j in range(n)] for i in range(n)])
-        gs = self.gohberg_semencul(c, r)
+        gs = self.toeplitz_operator(c, r)
         assert gs.ok
         inv = np.linalg.inv(t)
         scale = np.abs(inv).max()
@@ -423,12 +415,12 @@ class TestStructuredSchurKernel:
         for t in range(8):
             lam = _table1_spectrum(kind, 31, two_n, t)
             try:
-                weights, _ = _inverse_circulant_row(lam)
+                op = _SchurOperator(lam)
             except SingularEmbeddingError:
                 continue
-            s = _schur_from_eigenvalues(lam).matrix
+            s = op.matrix()
             for trans, want in ((False, s @ v), (True, s.T @ v)):
-                got = _schur_matvec(weights, v, trans=trans)
+                got = op.matvec(v, trans=trans)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(s).sum(axis=1).max()
 
     @pytest.mark.parametrize("two_n,trials", [(4, 25), (8, 25), (16, 25), (64, 10), (256, 4), (2048, 2)])
@@ -441,7 +433,7 @@ class TestStructuredSchurKernel:
                     res = schur_sigma_min(lam)
                 except SingularEmbeddingError:
                     continue
-                lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix)
+                lu = sigma_min_fast(_SchurOperator(lam).matrix())
                 if res.structured_fallback:
                     assert res == SigmaMinResult(**{**vars(lu), "structured_fallback": True})
                 else:
@@ -455,7 +447,7 @@ class TestStructuredSchurKernel:
         # the LU value by 2e-10 and 1e-10, the refined solves by 1e-11 and 2e-11
         lam = _table1_spectrum(kind, master_seed, 2048, t)
         res = schur_sigma_min(lam)
-        lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix)
+        lu = sigma_min_fast(_SchurOperator(lam).matrix())
         assert not res.structured_fallback
         assert res.value == pytest.approx(lu.value, rel=5e-11, abs=0.0)
 
@@ -473,7 +465,7 @@ class TestStructuredSchurKernel:
                             res = schur_sigma_min(lam)
                         except SingularEmbeddingError:
                             continue
-                        lu = sigma_min_fast(_schur_from_eigenvalues(lam).matrix).value
+                        lu = sigma_min_fast(_SchurOperator(lam).matrix()).value
                         if lu > 0.0:  # an exactly zero LU pivot has no relative gap
                             worst = max(worst, abs(res.value - lu) / lu)
             return worst
