@@ -629,8 +629,9 @@ def _sigmin_summary(config, sizes, records, extras):
     points = []
     for n in sorted(sizes):
         smins = np.array([r.sigma_min for r in records[n]])
+        singular = np.array(["singular-embedding" in r.flags for r in records[n]])
         for eps in config.epsilons or (config.epsilon,):
-            k = int(np.count_nonzero(smins <= eps * n ** (-exponent)))
+            k = int(np.count_nonzero((smins <= eps * n ** (-exponent)) | singular))
             points.append(_point(n, float(eps), k, smins.size))
     return {"tail": TailEstimate(f"sigma_min <= eps * n^-{exponent}", exponent, None, tuple(points))}
 
@@ -641,7 +642,10 @@ def run_sigma_min_tail(config: ExperimentConfig) -> ExperimentResult:
     The symmetric variant draws the floor(n/2)+1 free coefficients and uses
     the fixed exponent 0.51 in place of rho.  Exceedance counts are computed
     on the same fixed samples for every epsilon, so nested-event monotonicity
-    holds exactly.
+    holds exactly.  A draw flagged singular (sigma_min at or below
+    1e-12 * n * sigma_max) counts at every epsilon: below that cutoff the
+    computed sigma_min is FFT roundoff, so the epsilon = 0 point counts the
+    singular draws, not the ones that happened to round to exactly 0.0.
     """
     return _run("sigmin", config, _circulant_block, _sigmin_summary)
 
@@ -691,7 +695,7 @@ def _draw_toeplitz(config: ExperimentConfig, gen: np.random.Generator, n: int):
 def _rect_trial(gen, n, t, config):
     cspec = embed_toeplitz(*_draw_toeplitz(config, gen, n))
     rep = circulant_extremes(circulant_eigenvalues(cspec))
-    sv = dense_svd(materialize_circulant(cspec)[:, :n])
+    sv = dense_svd(materialize_circulant(cspec, n))
     tol = 1e-8 * rep.sigma_max
     violated = sv[0] > rep.sigma_max + tol or sv[n - 1] < rep.sigma_min - tol
     return _singular_values(sv[0], sv[n - 1], ("clause-violation",) if violated else ()), None
@@ -725,10 +729,7 @@ def _interlace_trial(gen, n, t, config, cauchy_trials):
         ("violation-b", not report.clause_b),
         ("violation-c", report.clause_c is False),
     ) if on)
-    cauchy = None
-    if t < cauchy_trials:
-        stack = materialize_circulant(embed_toeplitz(spec, xi_star))[:, : min(n, 12)]
-        cauchy = cauchy_interlacing_check(stack)
+    cauchy = cauchy_interlacing_check(report.stack[:, : min(n, 12)]) if t < cauchy_trials else None
     fields = _singular_values(report.sigma_c[0], report.sigma_c[-1], flags)
     return fields, (report.margin_a, report.margin_b, report.margin_c, cauchy)
 

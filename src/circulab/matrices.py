@@ -169,11 +169,18 @@ def materialize_toeplitz(spec: ToeplitzSpec) -> np.ndarray:
     return spec.coeffs.values[idx]
 
 
-def materialize_circulant(spec: CirculantSpec) -> np.ndarray:
-    """Dense n x n matrix; row i is the first row cyclically shifted right by i."""
+def materialize_circulant(spec: CirculantSpec, columns: int | None = None) -> np.ndarray:
+    """Dense n x n matrix; row i is the first row cyclically shifted right by i.
+
+    With ``columns`` = k (1 <= k <= n) only the first k columns are gathered,
+    as an n x k array equal to the full matrix's ``[:, :k]``.
+    """
     n = spec.n
-    j = np.arange(n)
-    idx = (j[None, :] - j[:, None]) % n
+    k = n if columns is None else int(columns)
+    if not 1 <= k <= n:
+        raise ValueError(f"columns needs a value in [1, {n}], got {columns!r}")
+    i, j = np.arange(n), np.arange(k)
+    idx = (j[None, :] - i[:, None]) % n
     return spec.first_row.values[idx]
 
 

@@ -11,6 +11,11 @@ Schur functions and :func:`verify_interlacing` are its callers.  One cutoff,
 1e-12 * n * max|lambda|, separates singular spectra from regular ones, for
 the condition reports and for the Schur block alike.
 
+Singular values come from two LAPACK routines: :func:`dense_svd` (Jacobi,
+``dgejsv``) wherever a small singular value is reported as a number, and
+``_svdvals`` (``dgesdd``, accurate to eps * sigma_max) for the interlacing
+checks, whose tolerances are absolute.
+
 Experiment runs enter :func:`single_blas_thread`, so their LAPACK results do
 not depend on the BLAS thread count and worker processes (fork) are the only
 source of parallelism.
@@ -29,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_toeplitz
-from scipy.linalg.lapack import dgejsv
+from scipy.linalg.lapack import dgejsv, dgesdd
 
 from .matrices import (
     CirculantSpec,
@@ -37,7 +42,6 @@ from .matrices import (
     ToeplitzSpec,
     embed_toeplitz,
     materialize_circulant,
-    materialize_toeplitz,
 )
 
 __all__ = [
@@ -226,6 +230,24 @@ def _real_matrix(m, what: str) -> np.ndarray:
     return m
 
 
+def _svd_input(m, what: str) -> np.ndarray:
+    """``m`` as ``float64`` once it passes the dense SVDs' checks: real, 2-D, non-empty, finite."""
+    m = _real_matrix(m, what)
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    return np.asarray(m, dtype=np.float64)
+
+
+def _check_info(routine: str, info: int, shape: tuple[int, int]) -> None:
+    """Raise on a LAPACK SVD's nonzero ``info``: unconverged (> 0) or a bad argument (< 0)."""
+    if info > 0:
+        raise ConvergenceError(f"{routine} did not converge for a {shape[0]}x{shape[1]} matrix (info={info})")
+    if info < 0:
+        raise ValueError(f"{routine} rejected argument {-info}")
+
+
 def dense_svd(m: np.ndarray) -> np.ndarray:
     """Singular values of a real matrix by LAPACK ``dgejsv``, sorted descending.
 
@@ -238,20 +260,27 @@ def dense_svd(m: np.ndarray) -> np.ndarray:
     Raises :class:`TypeError` on complex input and :class:`ConvergenceError`
     when LAPACK reports that the Jacobi sweeps did not converge.
     """
-    m = _real_matrix(m, "dense_svd")
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"need a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    a = np.asarray(m if m.shape[0] >= m.shape[1] else m.T, dtype=np.float64)
-    rows, n = a.shape
+    m = _svd_input(m, "dense_svd")
+    a = m if m.shape[0] >= m.shape[1] else m.T
     # joba=0 ('C'), jobu=jobv=3 (no vectors), jobr=0 (keep tiny columns), jobp=0
     sva, _, _, work, _, info = dgejsv(a, joba=0, jobu=3, jobv=3, jobr=0, jobp=0)
-    if info > 0:
-        raise ConvergenceError(f"dgejsv did not converge for a {rows}x{n} matrix (info={info})")
-    if info < 0:
-        raise ValueError(f"dgejsv rejected argument {-info}")
+    _check_info("dgejsv", info, a.shape)
     return sva * (work[1] / work[0])
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """Singular values of a real matrix by LAPACK ``dgesdd``, sorted descending.
+
+    Bidiagonalization then divide and conquer is backward stable, so every
+    value is accurate to a small multiple of eps * sigma_max, not to eps
+    relative to itself as :func:`dense_svd`'s are under column scaling.  That
+    is all a check at an absolute tolerance needs, at a fraction of the
+    Jacobi cost.  Input checks and errors are :func:`dense_svd`'s.
+    """
+    a = _svd_input(m, "_svdvals")
+    _, s, _, info = dgesdd(a, compute_uv=0)
+    _check_info("dgesdd", info, a.shape)
+    return s
 
 
 @dataclass(frozen=True)
@@ -581,6 +610,7 @@ class InterlacingReport:
 
     Margins are the smallest slacks (negative means violated beyond
     tolerance); clause_c is ``None`` when the embedding is singular.
+    ``stack`` is [T; B], the first n columns of C_2n.
     """
 
     clause_a: bool
@@ -594,6 +624,7 @@ class InterlacingReport:
     sigma_t: np.ndarray
     sigma_a: np.ndarray
     sigma_s: np.ndarray | None
+    stack: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -601,16 +632,21 @@ class InterlacingReport:
 
 
 def verify_interlacing(spec: ToeplitzSpec, xi_star: float, rtol: float = 1e-8) -> InterlacingReport:
-    """Check the embedding inequalities for one Toeplitz draw at tolerance rtol * sigma_max(C_2n)."""
+    """Check the embedding inequalities for one Toeplitz draw at tolerance rtol * sigma_max(C_2n).
+
+    ``sigma_c`` is |lambda| from the FFT.  ``sigma_a``, ``sigma_t`` and
+    ``sigma_s`` come from :func:`_svdvals`, each accurate to a small multiple
+    of eps times its largest value, far inside the tolerance.  Only [T; B],
+    the first n columns of C_2n, is gathered; its top n rows are T_n.
+    """
     n = spec.n
     cspec = embed_toeplitz(spec, xi_star)
     lam = circulant_eigenvalues(cspec)
     sigma_c = np.sort(np.abs(lam))[::-1]
     tol = rtol * float(sigma_c[0]) if sigma_c[0] > 0 else rtol
-    cmat = materialize_circulant(cspec)
-    stack = cmat[:, :n]  # the first n columns of C_2n are exactly [T; B]
-    sigma_a = dense_svd(stack)
-    sigma_t = dense_svd(materialize_toeplitz(spec))
+    stack = materialize_circulant(cspec, n)
+    sigma_a = _svdvals(stack)
+    sigma_t = _svdvals(stack[:n])
 
     margin_a = min(
         float(sigma_c[0] - sigma_a[0]),
@@ -630,7 +666,7 @@ def verify_interlacing(spec: ToeplitzSpec, xi_star: float, rtol: float = 1e-8) -
     except SingularEmbeddingError:
         singular = True
     else:
-        sigma_s = dense_svd(schur)
+        sigma_s = _svdvals(schur)
         lower = float(sigma_c[-1]) ** 2 * sigma_s
         upper = float(sigma_c[0]) ** 2 * sigma_s
         margin_c = min(float(np.min(sigma_t - lower)), float(np.min(upper - sigma_t)))
@@ -648,6 +684,7 @@ def verify_interlacing(spec: ToeplitzSpec, xi_star: float, rtol: float = 1e-8) -
         sigma_t=sigma_t,
         sigma_a=sigma_a,
         sigma_s=sigma_s,
+        stack=stack,
     )
 
 
@@ -656,12 +693,14 @@ def cauchy_interlacing_check(m: np.ndarray, rtol: float = 1e-9) -> bool:
 
     For A_r the first r columns, checks sigma_i(A_{r+1}) >= sigma_i(A_r) >=
     sigma_{i+1}(A_{r+1}) for every r and i, at tolerance rtol * sigma_1(m).
+    The prefix singular values come from :func:`_svdvals`, accurate to a
+    small multiple of eps * sigma_1(m).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < m.shape[1]:
         raise ValueError(f"need rows >= cols, got shape {m.shape}")
     cols = m.shape[1]
-    prefix_svs = [dense_svd(m[:, : r + 1]) for r in range(cols)]
+    prefix_svs = [_svdvals(m[:, : r + 1]) for r in range(cols)]
     tol = rtol * float(prefix_svs[-1][0])
     for r in range(cols - 1):
         small = prefix_svs[r]

@@ -408,6 +408,16 @@ class TestExperimentCommand:
         assert err.startswith("circulab: numerical failure:") and "8x4" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interlace_numerical_failure_exit_code(self, tmp_path, capsys, nonconverging_dgesdd, workers):
+        # the interlacing checks run dgesdd; the first one is on the 8x4 stack [T; B]
+        code = run(tmp_path, "experiment", "interlace", "--dist", "normal",
+                   "--sizes", "4", "--trials", "2", "--seed", "2", "--workers", workers)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("circulab: numerical failure: dgesdd") and "8x4" in err
+        assert err.count("\n") == 1
+
     def test_xi_star_fixed(self, tmp_path):
         code = run(tmp_path, "experiment", "rect", "--dist", "normal",
                    "--sizes", "4", "--trials", "5", "--seed", "2",

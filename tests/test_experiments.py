@@ -455,6 +455,19 @@ class TestSigmaMinTail:
         res = run_sigma_min_tail(config)
         assert res.tail.points[0].exceedance == 0.0
 
+    def test_epsilon_zero_counts_flagged_singulars(self):
+        # 166 of these draws sit below the singular cutoff, but FFT roundoff
+        # leaves sigma_min == 0.0 in only 141 of them
+        config = cfg(experiment="sigmin", sizes=(15,), trials=2000, master_seed=606,
+                     distribution=Distribution("bernoulli"), epsilons=(0.0, 1e-14, 1e-3, 0.5))
+        res = run_sigma_min_tail(config)
+        singular = [r for r in res.records[15] if "singular-embedding" in r.flags]
+        assert len(singular) == 166
+        assert sum(r.sigma_min == 0.0 for r in singular) == 141
+        counts = [p.count for p in res.tail.points]
+        assert counts[0] == counts[1] == 166
+        assert counts == sorted(counts) and counts[-1] > 166
+
     def test_symmetric_variant_uses_051(self):
         config = cfg(experiment="sigmin", sizes=(31,), trials=20, symmetric=True)
         res = run_sigma_min_tail(config)

@@ -126,6 +126,19 @@ class TestCirculant:
             for j in range(n):
                 assert m[i, j] == vals[(j - i) % n]
 
+    def test_leading_columns_equal_full_slice(self):
+        row = np.random.default_rng(6).standard_normal(7)
+        spec = CirculantSpec(7, CoefficientSequence(row))
+        full = materialize_circulant(spec)
+        for k in range(1, 8):
+            assert np.array_equal(materialize_circulant(spec, k), full[:, :k])
+
+    @pytest.mark.parametrize("columns", [0, -1, 8])
+    def test_columns_out_of_range_rejected(self, columns):
+        spec = CirculantSpec(7, CoefficientSequence(np.ones(7)))
+        with pytest.raises(ValueError, match=r"columns needs a value in \[1, 7\]"):
+            materialize_circulant(spec, columns)
+
 
 class TestEmbedding:
     def test_one_by_one(self):

@@ -17,15 +17,18 @@ from circulab.matrices import (
     CoefficientSequence,
     SymmetricCirculantSpec,
     ToeplitzSpec,
+    embed_toeplitz,
     expand_symmetric_circulant,
     fourier_matrix,
     materialize_circulant,
+    materialize_toeplitz,
 )
 from circulab.spectral import (
     ConvergenceError,
     SigmaMinResult,
     SingularEmbeddingError,
     _SchurOperator,
+    _svdvals,
     build_schur_block,
     cauchy_interlacing_check,
     circulant_eigenvalues,
@@ -258,6 +261,36 @@ class TestDenseSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             dense_svd(np.array([[1.0, np.nan]]))
+
+
+class TestSvdvals:
+    @pytest.mark.parametrize("svd", [dense_svd, _svdvals])
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.ones((3, 2)) + 1j, TypeError, "takes real input only"),
+        (np.zeros((0, 3)), ValueError, "non-empty 2-D matrix"),
+        (np.zeros(3), ValueError, "non-empty 2-D matrix"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, "non-finite entries"),
+        (np.array([[np.inf, 1.0]]), ValueError, "non-finite entries"),
+    ])
+    def test_input_checks_match_dense_svd(self, svd, bad, error, message):
+        with pytest.raises(error, match=message):
+            svd(bad)
+
+    def test_nonconvergence_error_names_shape(self, nonconverging_dgesdd):
+        with pytest.raises(ConvergenceError, match=r"^dgesdd did not converge for a 9x5 matrix"):
+            _svdvals(np.ones((9, 5)))
+
+    def test_rejected_argument(self, monkeypatch):
+        monkeypatch.setattr(spectral, "dgesdd", lambda a, **kwargs: (None, None, None, -4))
+        with pytest.raises(ValueError, match=r"^dgesdd rejected argument 4$"):
+            _svdvals(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (8, 8), (13, 7), (7, 19), (128, 128)])
+    def test_matches_dense_svd_to_eps_sigma_max(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        s, ref = _svdvals(a), dense_svd(a)
+        assert np.all(s[:-1] >= s[1:])
+        assert np.abs(s - ref).max() <= 1e-13 * ref[0]
 
 
 class TestSigmaMinFast:
@@ -546,6 +579,56 @@ class TestInterlacing:
             spec = ToeplitzSpec(n, CoefficientSequence(vals, index_origin=-(n - 1)))
             report = verify_interlacing(spec, float(rng.standard_normal()))
             assert report.sigma_t[0] <= report.sigma_c[0] + 1e-8 * report.sigma_c[0]
+
+
+    @staticmethod
+    def jacobi_reference(spec, xi_star, rtol=1e-8):
+        """sigma_max(C_2n), clause flags and margins of verify_interlacing, with dense_svd on
+        the full T_n, the first n columns of the full C_2n and the gathered S_n."""
+        n = spec.n
+        cspec = embed_toeplitz(spec, xi_star)
+        sigma_c = np.sort(np.abs(circulant_eigenvalues(cspec)))[::-1]
+        sigma_a = dense_svd(materialize_circulant(cspec)[:, :n])
+        sigma_t = dense_svd(materialize_toeplitz(spec))
+        margins = [min(sigma_c[0] - sigma_a[0], sigma_a[-1] - sigma_c[-1]),
+                   np.min(sigma_c[:n] - sigma_t), None]
+        try:
+            sigma_s = dense_svd(build_schur_block(cspec).matrix)
+        except SingularEmbeddingError:
+            pass
+        else:
+            margins[2] = min(np.min(sigma_t - sigma_c[-1] ** 2 * sigma_s),
+                             np.min(sigma_c[0] ** 2 * sigma_s - sigma_t))
+        tol = rtol * sigma_c[0]
+        return sigma_c[0], [None if m is None else bool(m >= -tol) for m in margins], margins
+
+    def assert_agrees_with_jacobi(self, spec, xi_star):
+        report = verify_interlacing(spec, xi_star)
+        scale, flags, margins = self.jacobi_reference(spec, xi_star)
+        assert [report.clause_a, report.clause_b, report.clause_c] == flags
+        assert report.singular_embedding == (margins[2] is None)
+        for got, want in zip((report.margin_a, report.margin_b, report.margin_c), margins):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("law", ["normal", "rademacher", "bernoulli"])
+    @pytest.mark.parametrize("n", [8, 64, 128])
+    def test_agrees_with_jacobi_reference(self, law, n):
+        # the dgesdd singular values are accurate to eps * sigma_max only; at the
+        # absolute tolerance of the clauses that changes no flag
+        for t in range(4):
+            gen, _ = trial_stream(18, n, t)
+            vals = Distribution(law).sample(gen, 2 * n - 1)
+            spec = ToeplitzSpec(n, CoefficientSequence(vals, index_origin=-(n - 1)))
+            self.assert_agrees_with_jacobi(spec, float(Distribution(law).sample(gen, 1)[0]))
+
+    def test_singular_embedding_agrees_with_jacobi_reference(self):
+        # xi_* cancels the row sum, so lambda_0 = 0 and clause (c) is skipped
+        vals = Distribution("rademacher").sample(trial_stream(18, 8, 0)[0], 15)
+        spec = ToeplitzSpec(8, CoefficientSequence(vals, index_origin=-7))
+        assert verify_interlacing(spec, -float(vals.sum())).singular_embedding
+        self.assert_agrees_with_jacobi(spec, -float(vals.sum()))
 
 
 class TestCauchyInterlacing:

@@ -17,8 +17,9 @@ OUT_DIR must be missing or empty.  The list covers every command and every
 experiment kind: table1 at 2n = 8 and 16 on discrete laws (structured
 fallbacks and singular draws), with ``--resample-singular``, at 2n = 2048
 and under ``--workers 2``; ``schur --check-oracle`` on regular, singular and
-odd rows; interlace with singular embeddings; and invalid inputs whose error
-messages are part of the interface.
+odd rows; interlace with singular embeddings; sigmin at epsilon = 0 on draws
+whose sigma_min is singular but not exactly 0.0; and invalid inputs whose
+error messages are part of the interface.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ CASES = [
                           "--oversampling", "0", "--symmetric", "--dist", "uniform"], None),
     ("sigmin", ["experiment", "sigmin", "--sizes", "15,16", "--eps-grid", "0,0.5,1",
                 "--dist", "bernoulli", "--trials", "30", "--seed", "4"], None),
+    ("sigmin-eps0", ["experiment", "sigmin", "--sizes", "15", "--eps-grid", "0,1e-14,0.001",
+                     "--dist", "bernoulli", "--trials", "2000", "--seed", "606"], None),
     ("sigmin-symmetric", ["experiment", "sigmin", "--symmetric", "--sizes", "31",
                           "--trials", "10"], None),
     ("kappa-workers", ["experiment", "kappa", "--sizes", "16,32", "--rho", "0.1", "--eps", "0.5",
