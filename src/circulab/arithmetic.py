@@ -10,6 +10,7 @@ satisfies the defining inequality strictly.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -426,29 +427,17 @@ def _factorize(m: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=4)
-def _divisors_with_phi(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # Every co-divisor d = m/e of m with Euler phi(e), built multiplicatively
-    # over the divisors e; cached like _gcd_table because point queries ask
-    # for one M at several thresholds in a row.
-    divs = [1]
-    phis = [1]
-    for p, e in _factorize(m):
-        new_divs = []
-        new_phis = []
-        pk = 1
-        phi_pk = 1
-        for k in range(e + 1):
-            for d, ph in zip(divs, phis):
-                new_divs.append(d * pk)
-                new_phis.append(ph * phi_pk)
-            phi_pk = pk * (p - 1)
-            pk *= p
-        divs, phis = new_divs, new_phis
-    codivs = m // np.asarray(divs, dtype=np.int64)
-    phis = np.asarray(phis, dtype=np.int64)
-    codivs.setflags(write=False)
-    phis.setflags(write=False)
-    return codivs, phis
+def _divisors_with_phi(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The divisors e of m in increasing order and the running sums of Euler
+    # phi(e) over them, from 0; phi is built multiplicatively over the prime
+    # powers from _factorize.  Cached like _gcd_table because point queries
+    # ask for one M at several thresholds in a row.
+    pairs = [(1, 1)]
+    for p, k in _factorize(m):
+        powers = [(p**i, p**i - p ** (i - 1)) for i in range(1, k + 1)]  # p^i, phi(p^i)
+        pairs += [(e * q, ph * f) for q, f in powers for e, ph in pairs]
+    divs, phis = zip(*sorted(pairs))
+    return divs, (0, *itertools.accumulate(phis))
 
 
 def _totients(n: int) -> np.ndarray:
@@ -485,61 +474,69 @@ def _totient_sums(phi: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.stack(sums, axis=1).astype(np.int64)
 
 
-_UINT_DTYPES = tuple((np.iinfo(t).max, np.dtype(t)) for t in (np.uint16, np.uint32, np.uint64))
-
-
 def _uint_dtype(n: int) -> np.dtype:
-    # The narrowest unsigned integer dtype that holds every value 0..n.
-    return next(dtype for top, dtype in _UINT_DTYPES if n <= top)
+    # The narrowest unsigned integer dtype, from uint16 up, that holds every value 0..n.
+    return np.dtype(np.uint16 if n <= 0xFFFF else np.uint32 if n <= 0xFFFFFFFF else np.uint64)
 
 
-def _small_divisors(lo: int, hi: int) -> list[list[int]]:
-    # For lo <= M < hi, the divisors 2 <= d <= sqrt(M) of M in increasing
-    # order, from one direct scan of M mod d over the whole block.  It is
-    # independent of _factorize and _totients, so the census still checks the
-    # totient side rather than sharing its arithmetic.
+def _gcd_tables(lo: int, hi: int) -> np.ndarray:
+    # Row M - lo holds gcd(k, M) for k = 1..floor((M-1)/2), zero-padded to the
+    # widest row; the rest follows from gcd(M-k, M) = gcd(k, M).  gcd(k, M) is
+    # the largest divisor of M that divides k.  One scan of M mod d over
+    # 2 <= d <= s = isqrt(hi - 1) finds every divisor pair d * e = M with
+    # d <= s; it is independent of _factorize and _totients, so the census
+    # still checks the totient side rather than sharing its arithmetic.
+    # Small divisors: the rows divisible by d step by d, so one strided write
+    # marks the multiples of d in all of them, in increasing d so that the
+    # largest is written last.  Co-divisors: the multiples j e <= (M-1)/2 of
+    # e = M/d are those with j < d/2, written by maximum.at, so that an e <= s
+    # changes nothing and the larger of two e wins where they share a k.
+    # Every divisor of M up to half is a d or an e; divisor 1 is the fill.
+    width = (hi - 2) // 2
+    table = np.ones((hi - lo, width), dtype=_uint_dtype(width))
     dtype = _uint_dtype(hi - 1)
     m = np.arange(lo, hi, dtype=dtype)
-    rows, cols = np.nonzero(m[:, None] % np.arange(2, math.isqrt(hi - 1) + 1, dtype=dtype) == 0)
-    found = [[] for _ in range(hi - lo)]
-    for i, d in zip(rows.tolist(), (cols + 2).tolist()):
-        if d * d <= lo + i:  # the scan ran to sqrt(hi - 1), past sqrt(M) for most M
-            found[i].append(d)
-    return found
-
-
-def _mark_gcd_table(m: int, small: list[int]) -> np.ndarray:
-    # gcd(k, m) for k = 1..floor((m-1)/2); the rest follows from gcd(m-k, m) = gcd(k, m).
-    # gcd(k, m) is the largest divisor d of m with d | k: mark the multiples of
-    # each divisor in increasing order, so the largest one is written last.
-    # Divisor 1 is the fill value and m lies past half.  ``small`` holds the
-    # divisors 2 <= d <= sqrt(m) in increasing order; their co-divisors m // d
-    # follow in increasing order, without sqrt(m) a second time.
-    half = (m - 1) // 2
-    table = np.ones(half, dtype=_uint_dtype(half))
-    for d in itertools.chain(small, (m // d for d in reversed(small) if d * d != m)):
-        if d > half:
-            break
-        table[d - 1 :: d] = d
+    ds = np.arange(2, math.isqrt(hi - 1) + 1, dtype=dtype)
+    rows, cols = (m[:, None] % ds == 0).nonzero()
+    for d in sorted(set(ds[cols].tolist())):
+        table[-lo % d :: d, d - 1 :: d] = d
+    count = (cols + 1) >> 1  # (d - 1) // 2
+    e = (m[rows] // ds[cols]).repeat(count)
+    j = np.arange(1, e.size + 1) - (count.cumsum() - count).repeat(count)
+    np.maximum.at(table.reshape(-1), (rows * width - 1).repeat(count) + j * e, e)
+    first = (lo - 1) // 2  # the half of the shortest row
+    if first < width:  # zero the marks and fill past each shorter row's half
+        pad = np.arange(width - first) >= (np.arange(hi - lo) + (lo - 1) % 2)[:, None] // 2
+        table[:, first:][pad] = 0
     return table
 
 
 @lru_cache(maxsize=4)
 def _gcd_table(m: int) -> np.ndarray:
-    table = _mark_gcd_table(m, _small_divisors(m, m + 1)[0])
+    table = _gcd_tables(m, m + 1)[0]
     table.setflags(write=False)
     return table
 
 
-def _exact_count(table: np.ndarray, m: int, t: int) -> int:
-    # Number of k in [1, m] with gcd(k, m) >= t for an integer t >= 1, from
-    # m's gcd table.  The compare stays in the table's unsigned dtype, and
-    # NumPy compares a threshold past that dtype's maximum exactly.
-    exact = 2 * int(np.count_nonzero(table >= t))
-    exact += m >= t  # k = m itself
-    if m % 2 == 0:
-        exact += m // 2 >= t  # k = m/2, self-paired under k <-> m-k
-    return exact
+def _half_counts(tables: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Row i, column j: how many entries in row i of the gcd tables are >= t[i, j],
+    # for integers t >= 1.  That is > t - 1, clipped at the table width, which no
+    # entry exceeds, so the compare stays in the table's unsigned dtype.
+    rows, width = tables.shape
+    below = np.minimum(t - 1, width).astype(tables.dtype)
+    above = np.zeros((rows, -(-width // 8) * 8), dtype=bool)  # rows of whole uint64 words
+    counts = np.empty(t.shape, dtype=np.int64)
+    for j in range(t.shape[1]):
+        np.greater(tables, below[:, j, None], out=above[:, :width])
+        counts[:, j] = np.bitwise_count(above.view(np.uint64)).sum(axis=1)
+    return counts
+
+
+def _exact_count(half_count, m, t):
+    # The number of k in [1, m] with gcd(k, m) >= t, from the number of such
+    # k <= (m-1)/2: their mirrors m - k, k = m itself, and k = m/2, which is
+    # its own mirror.  The arguments are ints or arrays alike.
+    return 2 * half_count + (m >= t) + ((m % 2 == 0) & (m // 2 >= t))
 
 
 @dataclass(frozen=True)
@@ -548,7 +545,8 @@ class GcdCensus:
 
     ``exact_count`` enumerates gcd(k, M) for every k and counts the values
     >= y; each gcd is found as the largest divisor of M that divides k, by
-    marking the multiples of every divisor.  ``totient_sum`` is
+    marking the multiples of every divisor, a whole block of M in one table in
+    a sweep.  ``totient_sum`` is
     sum_{d | M, d >= y} phi(M/d), from the factorization of M in a point
     query and from a totient sieve over all M in a sweep.  The two are equal
     for every real y >= 1 because gcd only takes integer divisor values, which
@@ -574,12 +572,15 @@ def gcd_census(big_m: int, y: float) -> GcdCensus:
     if big_m < 1 or not y >= 1:
         raise ValueError("need M >= 1 and y >= 1")
     t = math.ceil(y) if y <= big_m else big_m + 1  # no gcd exceeds M
-    codivs, phis = _divisors_with_phi(big_m)
-    tsum = int(phis[codivs >= t].sum())
-    return GcdCensus(big_m, y, _exact_count(_gcd_table(big_m), big_m, t), tsum)
+    divs, phi_sums = _divisors_with_phi(big_m)
+    tsum = phi_sums[bisect.bisect_right(divs, big_m // t)]  # d = M/e >= t is e <= M // t
+    # NumPy compares a threshold past the table dtype's maximum exactly
+    exact = _exact_count(int(np.count_nonzero(_gcd_table(big_m) >= t)), big_m, t)
+    return GcdCensus(big_m, y, exact, tsum)
 
 
-_SWEEP_BLOCK = 128  # M per block of totient sums, divisor scans and CSV lines
+_SWEEP_BLOCK = 128  # most M per block of totient sums, gcd tables and CSV lines
+_TABLE_ENTRIES = 1 << 18  # most gcd table entries per block: 512 KB in uint16
 
 
 def _check_max_m(max_m: int) -> int:
@@ -594,8 +595,10 @@ def gcd_census_sweep(max_m: int) -> Iterator[GcdCensus]:
 
     Each item equals ``gcd_census(M, y)``.  The totient side comes from one
     phi sieve up to max_m and the divisor pairs of each block of M, not from
-    factorizing each M; the exact side enumerates gcd(k, M) per M as the
-    point query does, from one divisor scan per block.
+    factorizing each M.  The exact side marks the gcd tables of a block of M
+    at once, from one divisor scan, and counts them at all four thresholds at
+    once.  The tables hold at most 2**18 entries at a time, or one row where a
+    row alone is longer (M > 2**19).
     """
     blocks = _sweep(_check_max_m(max_m))
     return (GcdCensus(*row) for rows in blocks for row in rows)
@@ -621,17 +624,22 @@ def gcd_census_to_csv(max_m: int, path) -> tuple[int, int, int]:
 
 
 def _sweep(max_m: int) -> Iterator[list[tuple[int, float, int, int]]]:
-    # One list of (M, y, exact_count, totient_sum) rows per block of M.
+    # One list of (M, y, exact_count, totient_sum) rows per block of M.  The
+    # block's gcd tables come a step of rows at a time, each table with
+    # step * width < step * hi / 2 <= _TABLE_ENTRIES entries.
     phi = _totients(max_m)
     for lo in range(1, max_m + 1, _SWEEP_BLOCK):
         hi = min(lo + _SWEEP_BLOCK, max_m + 1)
-        rows = []
-        for m, small, tsums in zip(range(lo, hi), _small_divisors(lo, hi),
-                                   _totient_sums(phi, lo, hi).tolist()):
-            table = _mark_gcd_table(m, small)
-            for y, tsum in zip((1.0, 2.0, math.sqrt(m), float(m)), tsums):
-                rows.append((m, y, _exact_count(table, m, math.ceil(y)), tsum))
-        yield rows
+        m = np.arange(lo, hi)
+        y = np.stack([np.full(m.size, 1.0), np.full(m.size, 2.0), np.sqrt(m), m], axis=1)
+        t = np.ceil(y).astype(np.int64)
+        step = max(1, 2 * _TABLE_ENTRIES // hi)
+        half = np.concatenate([
+            _half_counts(_gcd_tables(a, min(a + step, hi)), t[a - lo : a - lo + step])
+            for a in range(lo, hi, step)])
+        exact = _exact_count(half, m[:, None], t)
+        yield list(zip(np.repeat(m, 4).tolist(), y.ravel().tolist(), exact.ravel().tolist(),
+                       _totient_sums(phi, lo, hi).ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from circulab.arithmetic import (
     dist_to_lattice,
     gcd_census,
     gcd_census_sweep,
+    gcd_census_to_csv,
     lcd_matrix2,
     lcd_vector,
     lemma_rows_to_csv,
@@ -332,10 +334,21 @@ class TestGcdCensus:
         census = gcd_census(m, y)
         assert census.exact_count == census.totient_sum == 1
 
-    def test_block_divisor_scan(self):
-        for lo, hi in ((1, 2), (1, 300), (9_950, 10_050), (131_000, 131_100)):
-            want = [[d for d in range(2, math.isqrt(m) + 1) if m % d == 0] for m in range(lo, hi)]
-            assert arithmetic._small_divisors(lo, hi) == want
+    @pytest.mark.parametrize("lo, hi, dtype", [
+        (1, 2, np.uint16), (1, 300, np.uint16), (9_950, 10_050, np.uint16),
+        (10_000, 10_001, np.uint16),  # one row, at a perfect square
+        (129, 130, np.uint16),  # the partial last block of max_m = 129
+        (131_000, 131_100, np.uint32),  # rows on both sides of the uint16 edge
+    ])
+    def test_block_tables_match_np_gcd(self, lo, hi, dtype):
+        want = np.zeros((hi - lo, (hi - 2) // 2), dtype=np.int64)
+        for row, m in zip(want, range(lo, hi)):
+            row[: (m - 1) // 2] = self._np_gcd_half(m)
+        tables = arithmetic._gcd_tables(lo, hi)
+        assert tables.dtype == dtype
+        np.testing.assert_array_equal(tables, want)
+        if hi == 130:  # that block is the sweep's last for max_m = 129
+            assert [row[0] for row in list(arithmetic._sweep(129))[-1]] == [129] * 4
 
     def test_table_is_read_only(self):
         table = arithmetic._gcd_table(60)
@@ -381,25 +394,47 @@ class TestGcdCensus:
         argv = ["--out", str(tmp_path), "verify-lemmas", "--lemma", "gcd-census", "--max-m", "60"]
         assert cli.dispatch(argv) == cli.EXIT_VIOLATION
 
-    def test_sweep_detects_divisor_scan_fault(self, monkeypatch, tmp_path):
-        # The totient side must not share the block divisor scan: dropping the
-        # divisor 3 of 60 has to show up as a mismatch at M = 60 alone and
-        # leave the totient sums.
+    @pytest.mark.parametrize("skip, faulty_m", [
+        (lambda m, d, s: False, set()),  # the stand-in marker itself is right
+        (lambda m, d, s: d > s, None),  # no co-divisor phase
+        (lambda m, d, s: (m, d) == (60, 5), {60}),  # divisor 5 of 60 dropped
+    ], ids=["none", "no-co-divisors", "drop-5-of-60"])
+    def test_sweep_detects_marker_fault(self, monkeypatch, tmp_path, skip, faulty_m):
+        # The totient side must not share the gcd tables: a marker that leaves
+        # out divisors has to show up as nonzero margins and leave the totient
+        # sums.  The stand-in marks each row alone, divisors in increasing
+        # order, skipping those for which skip(M, d, isqrt(hi - 1)) holds.
         good = list(gcd_census_sweep(60))
-        real = arithmetic._small_divisors
+        real = arithmetic._gcd_tables
 
-        def drop(lo, hi):
-            found = real(lo, hi)
-            if lo <= 60 < hi:
-                found[60 - lo].remove(3)
-            return found
+        def marker(lo, hi):
+            tables = real(lo, hi)
+            for row, m in zip(tables, range(lo, hi)):
+                half = row[: (m - 1) // 2]
+                half[:] = 1
+                for d in range(2, half.size + 1):
+                    if m % d == 0 and not skip(m, d, math.isqrt(hi - 1)):
+                        half[d - 1 :: d] = d
+            return tables
 
-        monkeypatch.setattr(arithmetic, "_small_divisors", drop)
+        monkeypatch.setattr(arithmetic, "_gcd_tables", marker)
         bad = list(gcd_census_sweep(60))
         assert [c.totient_sum for c in bad] == [c.totient_sum for c in good]
-        assert {c.M for c in bad if c.exact_count != c.totient_sum} == {60}
+        wrong = {c.M for c in bad if c.exact_count != c.totient_sum}
+        assert (wrong == faulty_m) if faulty_m is not None else (60 in wrong)
         argv = ["--out", str(tmp_path), "verify-lemmas", "--lemma", "gcd-census", "--max-m", "60"]
-        assert cli.dispatch(argv) == cli.EXIT_VIOLATION
+        assert cli.dispatch(argv) == (cli.EXIT_VIOLATION if wrong else cli.EXIT_OK)
+
+    def test_census_csv_memory_is_bounded(self, tmp_path):
+        # A block's gcd table holds at most _TABLE_ENTRIES entries whatever
+        # max_m is; 128 rows of uint16 at M = 1e5 would take 12.8 MB.
+        tracemalloc.start()
+        try:
+            assert gcd_census_to_csv(100_000, tmp_path / "census.csv") == (400_000, 400_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestLevyConcentration:

@@ -17,9 +17,10 @@ OUT_DIR must be missing or empty.  The list covers every command and every
 experiment kind: table1 at 2n = 8 and 16 on discrete laws (structured
 fallbacks and singular draws), with ``--resample-singular``, at 2n = 2048
 and under ``--workers 2``; ``schur --check-oracle`` on regular, singular and
-odd rows; interlace with singular embeddings; sigmin at epsilon = 0 on draws
-whose sigma_min is singular but not exactly 0.0; and invalid inputs whose
-error messages are part of the interface.
+odd rows; the gcd census at max_m = 300 and at 129, whose last block of M
+holds 129 alone; interlace with singular embeddings; sigmin at epsilon = 0 on
+draws whose sigma_min is singular but not exactly 0.0; and invalid inputs
+whose error messages are part of the interface.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ CASES = [
     ("lemma-cos-half", ["verify-lemmas", "--lemma", "cos-half", "--n", "600", "--k-max", "10"], None),
     ("lemma-vk-det", ["verify-lemmas", "--lemma", "vk-det", "--count", "20"], None),
     ("lemma-gcd-census", ["verify-lemmas", "--lemma", "gcd-census", "--max-m", "300"], None),
+    ("lemma-gcd-census-129", ["verify-lemmas", "--lemma", "gcd-census", "--max-m", "129"], None),
     ("table1-8-rademacher", ["experiment", "table1", "--two-n", "8", "--dist", "rademacher",
                              "--trials", "40", "--seed", "5"], None),
     ("table1-16-bernoulli", ["experiment", "table1", "--two-n", "16", "--dist", "bernoulli",
